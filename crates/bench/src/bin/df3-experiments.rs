@@ -14,9 +14,48 @@
 //! df3-experiments resume   --preset district_winter --snapshot warm.df3snap --check
 //! df3-experiments branch   --preset district_winter --snapshot warm.df3snap --sweep 32
 //! ```
+//!
+//! An unknown experiment id, subcommand or flag prints the valid ones
+//! and exits with status 2.
 
 use std::env;
 use std::time::Instant;
+
+/// Experiment ids, in the order the full suite runs them.
+const EXPERIMENTS: [&str; 20] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "e18", "e19", "e20",
+];
+
+/// Harness subcommands that take only `--fast`.
+const HARNESSES: [&str; 4] = ["bench", "bench_pr3", "bench_pr4", "bench_pr5"];
+
+/// Subcommands that parse their own flags (first argument only).
+const TOOLS: [&str; 4] = ["report", "snapshot", "resume", "branch"];
+
+/// Reject what no branch below would run, listing what would.
+fn check_args(args: &[String]) -> Result<(), String> {
+    for a in args {
+        let known = if a.starts_with("--") {
+            a == "--fast"
+        } else {
+            let id = a.to_lowercase();
+            EXPERIMENTS.contains(&id.as_str()) || HARNESSES.contains(&id.as_str())
+        };
+        if !known {
+            return Err(format!(
+                "unknown experiment id, subcommand or flag: {a}\n\
+                 experiment ids: {}\n\
+                 subcommands: {} {}\n\
+                 flags: --fast",
+                EXPERIMENTS.join(" "),
+                HARNESSES.join(" "),
+                TOOLS.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -26,6 +65,49 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|a| a.to_lowercase())
         .collect();
+    let first = args.first().map(String::as_str);
+    if !first.is_some_and(|a| TOOLS.contains(&a)) {
+        if let Err(e) = check_args(&args) {
+            eprintln!("df3-experiments: {e}");
+            std::process::exit(2);
+        }
+    }
+    if let Some(sub @ ("snapshot" | "resume" | "branch")) = first {
+        let t0 = Instant::now();
+        let result = match sub {
+            "snapshot" => bench::snapshot_cli::parse_snapshot_args(&args[1..])
+                .and_then(|a| bench::snapshot_cli::run_snapshot(&a)),
+            "resume" => bench::snapshot_cli::parse_resume_args(&args[1..])
+                .and_then(|a| bench::snapshot_cli::run_resume(&a)),
+            _ => bench::snapshot_cli::parse_branch_args(&args[1..])
+                .and_then(|a| bench::snapshot_cli::run_branch(&a)),
+        };
+        match result {
+            Ok(table) => {
+                println!("{}", table.render());
+                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
+            }
+            Err(e) => {
+                eprintln!("df3-experiments {sub}: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    if first == Some("report") {
+        let t0 = Instant::now();
+        match bench::run_report::parse_args(&args[1..]).and_then(|a| bench::run_report::run(&a)) {
+            Ok(table) => {
+                println!("{}", table.render());
+                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
+            }
+            Err(e) => {
+                eprintln!("df3-experiments report: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     if selected.iter().any(|s| s == "bench") {
         let t0 = Instant::now();
         let (report, table) = bench::bench_pr2::run(fast);
@@ -60,42 +142,6 @@ fn main() {
         let path = "BENCH_PR5.json";
         std::fs::write(path, report.to_json()).expect("write BENCH_PR5.json");
         println!("wrote {path} in {:.1} s", t0.elapsed().as_secs_f64());
-        return;
-    }
-    if let Some(sub @ ("snapshot" | "resume" | "branch")) = args.first().map(String::as_str) {
-        let t0 = Instant::now();
-        let result = match sub {
-            "snapshot" => bench::snapshot_cli::parse_snapshot_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_snapshot(&a)),
-            "resume" => bench::snapshot_cli::parse_resume_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_resume(&a)),
-            _ => bench::snapshot_cli::parse_branch_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_branch(&a)),
-        };
-        match result {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("df3-experiments {sub}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        let t0 = Instant::now();
-        match bench::run_report::parse_args(&args[1..]).and_then(|a| bench::run_report::run(&a)) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("df3-experiments report: {e}");
-                std::process::exit(1);
-            }
-        }
         return;
     }
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);

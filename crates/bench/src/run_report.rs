@@ -100,9 +100,10 @@ pub fn run(args: &ReportArgs) -> Result<Table, String> {
     let run_wall_s = t0.elapsed().as_secs_f64();
 
     let report = RunReport::new(&args.preset, &cfg, &out);
-    let jsonl = report.jsonl(&ExportOptions::full());
-    let trace = report.chrome_trace_json();
-    let prom = report.prometheus();
+    let opts = ExportOptions::full();
+    let jsonl = report.jsonl(&opts);
+    let trace = report.chrome_trace_json_with(&opts);
+    let prom = report.prometheus_with(&opts);
 
     if args.check {
         let n = json::validate_lines(&jsonl).map_err(|e| format!("JSONL report invalid: {e}"))?;

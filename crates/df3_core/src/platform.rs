@@ -1769,13 +1769,22 @@ impl Model for PlatformModel {
                 let t_step = sched.profiler.start();
                 self.p.rooms.step_staged(outdoor);
                 sched.profiler.stop(Phase::StepStaged, t_step);
-                for i in 0..n {
-                    let (t, u, d) = self.p.clusters[i].finish_control_tick(now, &self.p.rooms);
+                // Regulate every cluster, then drain every cluster. A
+                // drain touches only its own cluster's workers and room
+                // slots, so this order is bit-identical to interleaving.
+                let t_regulate = sched.profiler.start();
+                for c in &mut self.p.clusters {
+                    let (t, u, d) = c.finish_control_tick(now, &self.p.rooms);
                     temp += t;
                     usable += u;
                     demand += d;
+                }
+                sched.profiler.stop(Phase::Regulate, t_regulate);
+                let t_drain = sched.profiler.start();
+                for i in 0..n {
                     self.p.drain_cluster(now, i, sched);
                 }
+                sched.profiler.stop(Phase::Drain, t_drain);
                 self.p
                     .stats
                     .sample_tick(now, temp / n as f64, usable as f64, demand / n as f64);

@@ -57,7 +57,27 @@ pub struct RegulatorDecision {
     pub heat_budget_w: f64,
 }
 
+/// One control period's regulator output: the decision for the actual
+/// backlog and the capacity the heat budget would allow without one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RegulatorSolve {
+    pub(crate) decision: RegulatorDecision,
+    /// `decide(ladder, demand, n_cores).usable_cores`: heat-budgeted
+    /// cores if backlog were unlimited.
+    pub(crate) potential_cores: usize,
+}
+
 impl RegulatorDecision {
+    /// The board switched off: no cores, no heat.
+    pub(crate) const OFF: RegulatorDecision = RegulatorDecision {
+        powered: false,
+        usable_cores: 0,
+        level: 0,
+        compute_budget_w: 0.0,
+        resistive_w: 0.0,
+        heat_budget_w: 0.0,
+    };
+
     /// Total heat that will be produced if the compute side runs at its
     /// budget, W.
     pub fn total_heat_w(&self) -> f64 {
@@ -86,18 +106,27 @@ impl HeatRegulator {
         demand: f64,
         backlog_cores: usize,
     ) -> RegulatorDecision {
+        self.solve(ladder, demand, backlog_cores).decision
+    }
+
+    /// [`HeatRegulator::decide`] for `backlog_cores` fused with the
+    /// heat-budgeted capacity under unlimited backlog, in one pass over
+    /// the ladder's rate table: each level's core fit is divided out
+    /// once and serves both backlogs.
+    pub(crate) fn solve(
+        &self,
+        ladder: &DvfsLadder,
+        demand: f64,
+        backlog_cores: usize,
+    ) -> RegulatorSolve {
         assert!(
             (0.0..=1.0).contains(&demand),
             "demand out of range: {demand}"
         );
         if demand < self.power_off_threshold {
-            return RegulatorDecision {
-                powered: false,
-                usable_cores: 0,
-                level: 0,
-                compute_budget_w: 0.0,
-                resistive_w: 0.0,
-                heat_budget_w: 0.0,
+            return RegulatorSolve {
+                decision: RegulatorDecision::OFF,
+                potential_cores: 0,
             };
         }
         let budget_w = demand * self.max_power_w;
@@ -107,22 +136,26 @@ impl HeatRegulator {
         // budget. Throughput = cores × freq(level); power =
         // cores × power(level). Scan levels from top down; for each, the
         // max core count that fits; keep the best throughput.
+        let mut potential = (0usize, 0.0f64); // (cores, throughput)
         let mut best = (0usize, 0usize, 0.0f64); // (cores, level, throughput)
-        for level in (0..ladder.n_states()).rev() {
-            let per_core = ladder.power_w(level, 1.0);
-            if per_core <= 0.0 {
-                continue;
+        for (level, rate) in ladder.rates().iter().enumerate().rev() {
+            // `core_budget ≥ 0` and `power_w > 0`, so the quotient is
+            // non-negative, where truncating (`as`) equals flooring; the
+            // cast saturates past `usize::MAX` either way.
+            let fit = ((core_budget / rate.power_w) as usize).min(self.n_cores);
+            let thr = fit as f64 * rate.gops;
+            if thr > potential.1 + 1e-12 {
+                potential = (fit, thr);
             }
-            let fit = ((core_budget / per_core).floor() as usize).min(self.n_cores);
             let usable = fit.min(backlog_cores);
-            let thr = usable as f64 * ladder.throughput(level);
+            let thr = usable as f64 * rate.gops;
             if thr > best.2 + 1e-12 {
                 best = (usable, level, thr);
             }
         }
         let (usable_cores, level, _) = best;
         let compute_w = if usable_cores > 0 {
-            self.overhead_w + usable_cores as f64 * ladder.power_w(level, 1.0)
+            self.overhead_w + usable_cores as f64 * ladder.full_power_w(level)
         } else {
             // Powered but idle: overhead only (if the budget covers it).
             self.overhead_w.min(budget_w)
@@ -132,13 +165,16 @@ impl HeatRegulator {
         } else {
             0.0
         };
-        RegulatorDecision {
-            powered: true,
-            usable_cores,
-            level,
-            compute_budget_w: compute_w,
-            resistive_w,
-            heat_budget_w: budget_w,
+        RegulatorSolve {
+            decision: RegulatorDecision {
+                powered: true,
+                usable_cores,
+                level,
+                compute_budget_w: compute_w,
+                resistive_w,
+                heat_budget_w: budget_w,
+            },
+            potential_cores: potential.0,
         }
     }
 }
@@ -169,6 +205,8 @@ impl simcore::snapshot::Snapshot for RegulatorDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfhw::servers::ServerSpec;
+    use proptest::prelude::*;
 
     fn ladder() -> DvfsLadder {
         DvfsLadder::desktop_i7()
@@ -176,6 +214,184 @@ mod tests {
 
     fn qrad() -> HeatRegulator {
         HeatRegulator::for_qrad()
+    }
+
+    /// The original per-backlog scan, kept as the oracle for
+    /// [`HeatRegulator::solve`]: one division and `floor` per level and
+    /// call, with power and throughput recomputed from the ladder.
+    fn decide_reference(
+        r: &HeatRegulator,
+        ladder: &DvfsLadder,
+        demand: f64,
+        backlog_cores: usize,
+    ) -> RegulatorDecision {
+        assert!((0.0..=1.0).contains(&demand));
+        if demand < r.power_off_threshold {
+            return RegulatorDecision {
+                powered: false,
+                usable_cores: 0,
+                level: 0,
+                compute_budget_w: 0.0,
+                resistive_w: 0.0,
+                heat_budget_w: 0.0,
+            };
+        }
+        let budget_w = demand * r.max_power_w;
+        let core_budget = (budget_w - r.overhead_w).max(0.0);
+        let mut best = (0usize, 0usize, 0.0f64);
+        for level in (0..ladder.n_states()).rev() {
+            let per_core = ladder.power_w(level, 1.0);
+            if per_core <= 0.0 {
+                continue;
+            }
+            let fit = ((core_budget / per_core).floor() as usize).min(r.n_cores);
+            let usable = fit.min(backlog_cores);
+            let thr = usable as f64 * ladder.throughput(level);
+            if thr > best.2 + 1e-12 {
+                best = (usable, level, thr);
+            }
+        }
+        let (usable_cores, level, _) = best;
+        let compute_w = if usable_cores > 0 {
+            r.overhead_w + usable_cores as f64 * ladder.power_w(level, 1.0)
+        } else {
+            r.overhead_w.min(budget_w)
+        };
+        let resistive_w = if r.has_resistive_backup {
+            (budget_w - compute_w).max(0.0)
+        } else {
+            0.0
+        };
+        RegulatorDecision {
+            powered: true,
+            usable_cores,
+            level,
+            compute_budget_w: compute_w,
+            resistive_w,
+            heat_budget_w: budget_w,
+        }
+    }
+
+    /// Regulators shaped like the small server presets, with and
+    /// without a resistive element.
+    fn regulators() -> Vec<HeatRegulator> {
+        let specs = [
+            ServerSpec::qrad(),
+            ServerSpec::eradiator(),
+            ServerSpec::crypto_heater(),
+            ServerSpec::stimergy_boiler(20),
+            ServerSpec::datacenter_node(),
+        ];
+        let mut out = Vec::new();
+        for spec in specs {
+            for has_resistive_backup in [true, false] {
+                out.push(HeatRegulator {
+                    n_cores: spec.n_cores(),
+                    overhead_w: spec.overhead_w,
+                    has_resistive_backup,
+                    power_off_threshold: 0.02,
+                    max_power_w: spec.nameplate_w,
+                });
+            }
+        }
+        out
+    }
+
+    /// Every dfhw ladder preset.
+    fn ladders() -> [DvfsLadder; 2] {
+        [DvfsLadder::desktop_i7(), DvfsLadder::server_xeon()]
+    }
+
+    fn bits(d: &RegulatorDecision) -> (bool, usize, usize, u64, u64, u64) {
+        (
+            d.powered,
+            d.usable_cores,
+            d.level,
+            d.compute_budget_w.to_bits(),
+            d.resistive_w.to_bits(),
+            d.heat_budget_w.to_bits(),
+        )
+    }
+
+    /// The fused solve equals the reference scan bit for bit, for every
+    /// backlog in `0..=n_cores + 4`; returns the first mismatch.
+    fn check_against_reference(
+        r: &HeatRegulator,
+        l: &DvfsLadder,
+        demand: f64,
+    ) -> Result<(), String> {
+        let potential = decide_reference(r, l, demand, r.n_cores).usable_cores;
+        for backlog in 0..=r.n_cores + 4 {
+            let got = r.solve(l, demand, backlog);
+            let want = decide_reference(r, l, demand, backlog);
+            if bits(&got.decision) != bits(&want) || got.potential_cores != potential {
+                return Err(format!(
+                    "demand {demand:e} backlog {backlog} on {} cores: \
+                     fused {got:?} vs reference {want:?} / potential {potential}",
+                    r.n_cores
+                ));
+            }
+            if bits(&r.decide(l, demand, backlog)) != bits(&want) {
+                return Err(format!("decide wrapper differs at {demand:e}/{backlog}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn fused_solve_matches_reference_on_random_demands(demand in 0.0f64..=1.0) {
+            for r in regulators() {
+                for l in ladders() {
+                    check_against_reference(&r, &l, demand)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_solve_matches_reference_on_edge_demands() {
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for r in regulators() {
+            for l in ladders() {
+                let t = r.power_off_threshold;
+                let mut demands = vec![0.0, down(t), t, up(t), down(1.0), 1.0];
+                // Core budgets that are exact multiples of a level's
+                // per-core power, and their float neighbours: where
+                // truncation and flooring could first disagree.
+                for level in 0..l.n_states() {
+                    let p = l.power_w(level, 1.0);
+                    for k in 0..=r.n_cores + 1 {
+                        let d = (r.overhead_w + k as f64 * p) / r.max_power_w;
+                        for d in [down(d), d, up(d)] {
+                            if (0.0..=1.0).contains(&d) {
+                                demands.push(d);
+                            }
+                        }
+                    }
+                }
+                for demand in demands {
+                    check_against_reference(&r, &l, demand).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_multiple_budgets_are_hit() {
+        // Guard the edge-case generator above: at least one demand gives
+        // a core budget that divides a level's power exactly.
+        let (r, l) = (qrad(), ladder());
+        let hit = (0..l.n_states()).any(|level| {
+            let p = l.power_w(level, 1.0);
+            (1..=r.n_cores).any(|k| {
+                let d = (r.overhead_w + k as f64 * p) / r.max_power_w;
+                let q = (d * r.max_power_w - r.overhead_w) / p;
+                q == q.floor() && q > 0.0
+            })
+        });
+        assert!(hit);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   text-exposition snapshot of [`PlatformStats`] counters, gauges,
 //!   and histograms.
 //!
-//! Chrome and Prometheus documents carry sim-time data only; the JSONL
-//! report adds wall-clock phase rows unless
+//! [`RunReport::chrome_trace_json`] and [`RunReport::prometheus`] carry
+//! sim-time data only. Their `_with` forms and the JSONL report add the
+//! wall-clock phase-profiler totals unless
 //! [`ExportOptions::deterministic`] is used — the byte-identity
 //! property tests run on the deterministic set.
 
@@ -204,8 +205,17 @@ impl<'a> RunReport<'a> {
 
     /// The flight recorder as Chrome trace-event JSON (sim time only).
     pub fn chrome_trace_json(&self) -> String {
+        self.chrome_trace_json_with(&ExportOptions::deterministic())
+    }
+
+    /// [`RunReport::chrome_trace_json`], plus the phase-profiler totals
+    /// in the trace's `otherData` when `opts` includes wall clock.
+    pub fn chrome_trace_json_with(&self, opts: &ExportOptions) -> String {
         let n = self.config.n_clusters as u32;
-        chrome_trace(&self.outcome.telemetry.recorder, |g| {
+        let phases = opts
+            .include_wall_clock
+            .then_some(&self.outcome.telemetry.profiler);
+        chrome_trace(&self.outcome.telemetry.recorder, phases, |g| {
             if g == 0 {
                 "platform".to_string()
             } else if g <= n {
@@ -219,6 +229,12 @@ impl<'a> RunReport<'a> {
     /// A Prometheus text-exposition snapshot of the run's
     /// [`PlatformStats`] (sim time only).
     pub fn prometheus(&self) -> String {
+        self.prometheus_with(&ExportOptions::deterministic())
+    }
+
+    /// [`RunReport::prometheus`], plus one wall-clock total and call
+    /// count per profiled phase when `opts` includes wall clock.
+    pub fn prometheus_with(&self, opts: &ExportOptions) -> String {
         let s: &PlatformStats = &self.outcome.stats;
         let mut p = PromText::new();
         for (name, value) in s.counter_rows() {
@@ -263,6 +279,21 @@ impl<'a> RunReport<'a> {
             r.mean() * r.count() as f64,
             r.count(),
         );
+        if opts.include_wall_clock {
+            for (phase, acc) in self.outcome.telemetry.profiler.rows() {
+                let name = phase.name();
+                p.counter(
+                    &format!("df3_phase_{name}_ns_total"),
+                    &format!("wall-clock time in phase {name}, nanoseconds"),
+                    acc.total_ns,
+                );
+                p.counter(
+                    &format!("df3_phase_{name}_calls_total"),
+                    &format!("timed intervals of phase {name}"),
+                    acc.count,
+                );
+            }
+        }
         p.finish()
     }
 }
@@ -272,6 +303,7 @@ mod tests {
     use super::*;
     use crate::Platform;
     use simcore::telemetry::export::json;
+    use simcore::telemetry::Phase;
     use simcore::time::SimDuration;
     use simcore::RngStreams;
     use workloads::edge::{location_service_jobs, LocationServiceConfig};
@@ -344,6 +376,44 @@ mod tests {
                 "unparseable sample: {line}"
             );
         }
+    }
+
+    #[test]
+    fn wall_clock_exports_attribute_the_control_tick() {
+        let (cfg, out, _) = run_with_telemetry(true);
+        let report = RunReport::new("test", &cfg, &out);
+        let opts = ExportOptions::full();
+        let prom = report.prometheus_with(&opts);
+        let trace = report.chrome_trace_json_with(&opts);
+        json::validate(&trace).unwrap();
+        for phase in ["control_tick", "regulate", "drain"] {
+            assert!(
+                prom.contains(&format!("df3_phase_{phase}_ns_total ")),
+                "{phase}"
+            );
+            assert!(
+                trace.contains(&format!("\"phase.{phase}.total_ns\":")),
+                "{phase}"
+            );
+        }
+        // One regulate and one drain interval per control tick.
+        let prof = &out.telemetry.profiler;
+        let ticks = prof.acc(Phase::ControlTick).count;
+        assert!(ticks > 0);
+        assert_eq!(prof.acc(Phase::Regulate).count, ticks);
+        assert_eq!(prof.acc(Phase::Drain).count, ticks);
+        assert!(
+            prof.acc(Phase::Regulate).total_ns + prof.acc(Phase::Drain).total_ns
+                <= prof.acc(Phase::ControlTick).total_ns
+        );
+        // The deterministic forms are the plain ones.
+        let det = ExportOptions::deterministic();
+        assert_eq!(report.prometheus_with(&det), report.prometheus());
+        assert_eq!(
+            report.chrome_trace_json_with(&det),
+            report.chrome_trace_json()
+        );
+        assert!(!report.prometheus().contains("df3_phase_"));
     }
 
     #[test]

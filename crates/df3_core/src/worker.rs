@@ -63,6 +63,9 @@ pub struct WorkerSim {
     decision: RegulatorDecision,
     /// Jobs currently running.
     running: Vec<RunningSlice>,
+    /// Sum of `running[..].cores`, kept in step with every push and
+    /// removal (derived: rebuilt on restore, never snapshotted).
+    busy_cores: usize,
     /// Last control-tick time (thermal integration anchor).
     last_tick: SimTime,
     /// Energy drawn so far, J (compute + overhead + resistive).
@@ -110,6 +113,7 @@ impl WorkerSim {
             thermostat,
             decision,
             running: Vec::new(),
+            busy_cores: 0,
             last_tick: SimTime::ZERO,
             energy_j: 0.0,
             compute_energy_j: 0.0,
@@ -168,7 +172,7 @@ impl WorkerSim {
 
     /// Cores currently occupied by running jobs.
     pub fn busy_cores(&self) -> usize {
-        self.running.iter().map(|s| s.cores).sum()
+        self.busy_cores
     }
 
     /// Cores available for a new dispatch right now.
@@ -194,10 +198,12 @@ impl WorkerSim {
         if !self.decision.powered {
             return 0.0;
         }
+        // Summed slice by slice, in order: a running total kept across
+        // dispatches would round differently.
         let core_w: f64 = self
             .running
             .iter()
-            .map(|s| s.cores as f64 * self.ladder.power_w(s.level, 1.0))
+            .map(|s| s.cores as f64 * self.ladder.full_power_w(s.level))
             .sum();
         self.regulator.overhead_w + core_w
     }
@@ -206,18 +212,28 @@ impl WorkerSim {
     /// budget and the actual compute draw (§II-C decoupling — comfort
     /// never depends on cloud demand).
     pub fn resistive_w(&self) -> f64 {
+        self.resistive_for(self.compute_power_w())
+    }
+
+    /// [`WorkerSim::resistive_w`] given the current compute draw.
+    fn resistive_for(&self, compute_w: f64) -> f64 {
         if !self.decision.powered || !self.regulator.has_resistive_backup {
             return 0.0;
         }
-        (self.decision.heat_budget_w - self.compute_power_w()).max(0.0)
+        (self.decision.heat_budget_w - compute_w).max(0.0)
     }
 
     /// Instantaneous electrical power, W.
     pub fn power_w(&self) -> f64 {
+        self.power_for(self.compute_power_w())
+    }
+
+    /// [`WorkerSim::power_w`] given the current compute draw.
+    fn power_for(&self, compute_w: f64) -> f64 {
         if !self.decision.powered {
             return 0.0;
         }
-        self.compute_power_w() + self.resistive_w()
+        compute_w + self.resistive_for(compute_w)
     }
 
     /// Heat currently flowing into the room, W (all drawn power).
@@ -249,6 +265,7 @@ impl WorkerSim {
         }
         self.last_flow_was_edge = Some(is_edge);
         let finish = start + job.service_time(gops);
+        self.busy_cores += job.cores;
         self.running.push(RunningSlice {
             job,
             cores: job.cores,
@@ -268,7 +285,9 @@ impl WorkerSim {
             .iter()
             .position(|s| s.job.id == id)
             .unwrap_or_else(|| panic!("job {id:?} not running on worker {}", self.id));
-        self.running.swap_remove(idx)
+        let slice = self.running.swap_remove(idx);
+        self.busy_cores -= slice.cores;
+        slice
     }
 
     /// Preempt a job at `now`: remove it and return the job with its
@@ -301,39 +320,31 @@ impl WorkerSim {
     pub fn complete_tick(&mut self, now: SimTime, room_c: f64, backlog_cores: usize) -> f64 {
         let dt = now.saturating_since(self.last_tick);
         if dt > SimDuration::ZERO {
-            self.energy_j += self.heat_w() * dt.as_secs_f64();
-            self.compute_energy_j += self.compute_power_w() * dt.as_secs_f64();
+            // One slice sum serves both integrals.
+            let compute_w = self.compute_power_w();
+            self.energy_j += self.power_for(compute_w) * dt.as_secs_f64();
+            self.compute_energy_j += compute_w * dt.as_secs_f64();
         }
         self.last_tick = now;
         if self.failed {
             // Broken hardware: dark and cold until repaired.
             self.potential_cores = 0;
-            self.decision = RegulatorDecision {
-                powered: false,
-                usable_cores: 0,
-                level: 0,
-                compute_budget_w: 0.0,
-                resistive_w: 0.0,
-                heat_budget_w: 0.0,
-            };
+            self.decision = RegulatorDecision::OFF;
             return 0.0;
         }
         let measured_c = self.sense(room_c);
         let demand = self.thermostat.demand(now, measured_c);
-        self.potential_cores = self
-            .regulator
-            .decide(&self.ladder, demand, self.regulator.n_cores)
-            .usable_cores;
         // Never budget below what running jobs already hold: running
         // slices finish at their dispatched speed.
-        let decision =
-            self.regulator
-                .decide(&self.ladder, demand, backlog_cores.max(self.busy_cores()));
-        let floor = self.busy_cores();
+        let floor = self.busy_cores;
+        let solve = self
+            .regulator
+            .solve(&self.ladder, demand, backlog_cores.max(floor));
+        self.potential_cores = solve.potential_cores;
         self.decision = RegulatorDecision {
-            powered: decision.powered || floor > 0,
-            usable_cores: decision.usable_cores.max(floor),
-            ..decision
+            powered: solve.decision.powered || floor > 0,
+            usable_cores: solve.decision.usable_cores.max(floor),
+            ..solve.decision
         };
         demand
     }
@@ -375,14 +386,7 @@ impl WorkerSim {
         self.failed = true;
         let ids: Vec<workloads::JobId> = self.running.iter().map(|s| s.job.id).collect();
         let jobs = ids.into_iter().map(|id| self.preempt(id, now)).collect();
-        self.decision = RegulatorDecision {
-            powered: false,
-            usable_cores: 0,
-            level: 0,
-            compute_budget_w: 0.0,
-            resistive_w: 0.0,
-            heat_budget_w: 0.0,
-        };
+        self.decision = RegulatorDecision::OFF;
         self.potential_cores = 0;
         jobs
     }
@@ -405,7 +409,8 @@ impl WorkerSim {
     /// Checkpoint the worker's *dynamic* state. The static half (DVFS
     /// ladder, regulator, thermostat, `edge_dedicated`, sensor bias) is
     /// a pure function of the platform config and is rebuilt on
-    /// restore, so only what the run mutated is encoded.
+    /// restore, so only what the run mutated is encoded. The busy-core
+    /// count is derived from the slices and rebuilt on restore too.
     pub fn snapshot_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         use simcore::snapshot::Snapshot;
         self.decision.encode(w);
@@ -428,6 +433,7 @@ impl WorkerSim {
         use simcore::snapshot::{Snapshot, SnapshotError};
         self.decision = RegulatorDecision::decode(r)?;
         self.running = Vec::decode(r)?;
+        self.busy_cores = self.running.iter().map(|s| s.cores).sum();
         self.last_tick = SimTime::decode(r)?;
         self.energy_j = r.take_f64()?;
         self.compute_energy_j = r.take_f64()?;
@@ -645,6 +651,48 @@ mod tests {
         assert_eq!(w.busy_cores(), 8);
         assert!(w.decision().usable_cores >= 8);
         assert_eq!(w.free_cores(), 0, "but no headroom for new work");
+    }
+
+    fn slice_sum(w: &WorkerSim) -> usize {
+        w.running().iter().map(|s| s.cores).sum()
+    }
+
+    #[test]
+    fn busy_core_count_tracks_the_running_slices() {
+        let (mut w, mut room) = worker();
+        w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
+        for (id, cores) in [(1, 2), (2, 3), (3, 1), (4, 4), (5, 2)] {
+            w.dispatch(
+                SimTime::ZERO,
+                job(id, cores, 600.0, id % 2 == 0),
+                SimDuration::ZERO,
+            )
+            .expect("cold room → full budget");
+            assert_eq!(w.busy_cores(), slice_sum(&w));
+        }
+        assert_eq!(w.busy_cores(), 12);
+        assert_eq!(w.free_cores(), w.decision().usable_cores - 12);
+        w.remove(JobId(2)); // finish
+        assert_eq!(w.busy_cores(), slice_sum(&w));
+        w.preempt(JobId(1), SimTime::from_secs(10));
+        assert_eq!(w.busy_cores(), slice_sum(&w));
+        assert_eq!(w.busy_cores(), 7);
+
+        // Snapshot with three slices running, restore onto a fresh worker.
+        let mut sw = simcore::snapshot::SnapshotWriter::new();
+        w.snapshot_state(&mut sw);
+        let bytes = sw.into_bytes();
+        let (mut fresh, _) = worker();
+        fresh
+            .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes))
+            .unwrap();
+        assert_eq!(fresh.busy_cores(), 7);
+        assert_eq!(fresh.busy_cores(), slice_sum(&fresh));
+
+        let orphans = w.fail(SimTime::from_secs(20));
+        assert_eq!(orphans.len(), 3);
+        assert_eq!(w.busy_cores(), 0);
+        assert_eq!(w.busy_cores(), slice_sum(&w));
     }
 
     #[test]

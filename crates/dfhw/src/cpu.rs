@@ -114,7 +114,7 @@ mod tests {
         let c = core();
         assert_eq!(c.level(), c.ladder().n_states() - 1);
         assert_eq!(c.util(), 0.0);
-        assert_eq!(c.power_w(), c.ladder().static_w);
+        assert_eq!(c.power_w(), c.ladder().static_w());
     }
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
         let full = c.power_w();
         c.set_util(0.5);
         let half = c.power_w();
-        assert!(full > half && half > c.ladder().static_w);
+        assert!(full > half && half > c.ladder().static_w());
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         assert_eq!(c.throughput_gops(), 0.0);
         assert_eq!(c.util(), 0.0, "powering off clears utilisation");
         c.set_powered(true);
-        assert_eq!(c.power_w(), c.ladder().static_w);
+        assert_eq!(c.power_w(), c.ladder().static_w());
     }
 
     #[test]

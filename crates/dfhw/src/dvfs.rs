@@ -20,15 +20,28 @@ pub struct PState {
     pub voltage_v: f64,
 }
 
+/// Per-core cost and yield of one P-state at full utilisation.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelRate {
+    /// `power_w(level, 1.0)`, W.
+    pub power_w: f64,
+    /// `throughput(level)`, Gops/s.
+    pub gops: f64,
+}
+
 /// A discrete ladder of P-states with a power model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DvfsLadder {
     /// P-states sorted by ascending frequency.
     states: Vec<PState>,
     /// Effective switched capacitance, in W/(GHz·V²) per core.
-    pub capacitance: f64,
+    capacitance: f64,
     /// Static (leakage + uncore) power per core, W.
-    pub static_w: f64,
+    static_w: f64,
+    /// Full-utilisation rate of each state, derived once from the fields
+    /// above (which is why they are private: the table must not go
+    /// stale). The regulator reads it every control tick.
+    rates: Vec<LevelRate>,
 }
 
 impl DvfsLadder {
@@ -45,11 +58,23 @@ impl DvfsLadder {
             );
         }
         assert!(states.iter().all(|s| s.freq_ghz > 0.0 && s.voltage_v > 0.0));
-        DvfsLadder {
+        let mut ladder = DvfsLadder {
             states,
             capacitance,
             static_w,
-        }
+            rates: Vec::new(),
+        };
+        ladder.rates = (0..ladder.n_states())
+            .map(|level| LevelRate {
+                power_w: ladder.power_w(level, 1.0),
+                gops: ladder.throughput(level),
+            })
+            .collect();
+        assert!(
+            ladder.rates.iter().all(|r| r.power_w > 0.0),
+            "every P-state must draw positive power"
+        );
+        ladder
     }
 
     /// The ladder of the desktop i7-class CPUs Qarnot mounted in Q.rads:
@@ -129,6 +154,22 @@ impl DvfsLadder {
         self.states.len()
     }
 
+    /// Static (leakage + uncore) power per core, W.
+    pub fn static_w(&self) -> f64 {
+        self.static_w
+    }
+
+    /// Every state's full-utilisation rate, indexed by level.
+    pub fn rates(&self) -> &[LevelRate] {
+        &self.rates
+    }
+
+    /// Per-core power at `level` and full utilisation, W: the tabulated
+    /// `power_w(level, 1.0)`.
+    pub fn full_power_w(&self, level: usize) -> f64 {
+        self.rates[level].power_w
+    }
+
     pub fn state(&self, level: usize) -> PState {
         self.states[level]
     }
@@ -194,7 +235,20 @@ mod tests {
             assert!(l.power_w(i, 1.0) > l.power_w(i - 1, 1.0));
         }
         assert!(l.power_w(3, 0.5) < l.power_w(3, 1.0));
-        assert_eq!(l.power_w(3, 0.0), l.static_w);
+        assert_eq!(l.power_w(3, 0.0), l.static_w());
+    }
+
+    #[test]
+    fn rate_table_matches_the_power_model_bit_for_bit() {
+        for l in [DvfsLadder::desktop_i7(), DvfsLadder::server_xeon()] {
+            assert_eq!(l.rates().len(), l.n_states());
+            for level in 0..l.n_states() {
+                let r = l.rates()[level];
+                assert_eq!(r.power_w.to_bits(), l.power_w(level, 1.0).to_bits());
+                assert_eq!(r.gops.to_bits(), l.throughput(level).to_bits());
+                assert_eq!(l.full_power_w(level).to_bits(), r.power_w.to_bits());
+            }
+        }
     }
 
     #[test]

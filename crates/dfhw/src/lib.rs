@@ -32,6 +32,6 @@ pub mod sensors;
 pub mod servers;
 
 pub use cpu::CpuCore;
-pub use dvfs::{DvfsLadder, PState};
+pub use dvfs::{DvfsLadder, LevelRate, PState};
 pub use energy::{EnergyMeter, PueAccountant};
 pub use servers::{ServerClass, ServerSpec, ServerState};

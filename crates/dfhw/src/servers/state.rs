@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn idle_qrad_draws_overhead_plus_static() {
         let s = ServerState::new(ServerSpec::qrad());
-        let expected = s.spec.overhead_w + 16.0 * s.spec.ladder.static_w;
+        let expected = s.spec.overhead_w + 16.0 * s.spec.ladder.static_w();
         assert!((s.power_w() - expected).abs() < 1e-9);
     }
 

@@ -89,10 +89,13 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the classic bytewise table; `T[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes, so eight table lookups fold eight
+/// input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -105,19 +108,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -564,7 +591,19 @@ impl SnapshotFile {
     /// Serialise: magic, version, section count, then each section as
     /// name · length · CRC-32 · payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+        // Allocated once at its exact size: growing a multi-megabyte
+        // buffer by doubling leaves freed chunks behind that fragment
+        // the heap and raise the peak resident set of later runs.
+        let len = MAGIC.len()
+            + 8
+            + self
+                .sections
+                .iter()
+                .map(|(name, payload)| 8 + name.len() + 12 + payload.len())
+                .sum::<usize>();
+        let mut w = SnapshotWriter {
+            buf: Vec::with_capacity(len),
+        };
         w.put_bytes(&MAGIC);
         w.put_u32(VERSION);
         w.put_u32(self.sections.len() as u32);
@@ -723,6 +762,12 @@ mod tests {
     }
 
     #[test]
+    fn container_is_allocated_at_its_exact_size() {
+        let bytes = sample_file().to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
     fn every_truncation_errors_and_never_panics() {
         let bytes = sample_file().to_bytes();
         for cut in 0..bytes.len() {
@@ -792,6 +837,45 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise loop `crc32` replaced, kept as its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &CRC32_TABLES[0];
+        let mut c = !0u32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn bytewise_oracle_matches_known_vector() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn slicing_by_8_matches_bytewise_at_any_length_and_offset(
+            len in 0usize..4097,
+            start in 0usize..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut buf = vec![0u8; start + len];
+            <ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed).fill_bytes(&mut buf);
+            let bytes = &buf[start..];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_short_length() {
+        let buf: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for end in start..buf.len() {
+                assert_eq!(crc32(&buf[start..end]), crc32_bytewise(&buf[start..end]));
+            }
+        }
     }
 
     #[test]

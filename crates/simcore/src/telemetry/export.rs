@@ -13,6 +13,7 @@
 //! - [`json`]: a dependency-free validator the exporter tests and the
 //!   CI telemetry leg run over every emitted document.
 
+use super::profiler::PhaseProfiler;
 use super::recorder::{FlightRecorder, Value};
 
 /// Escape a string for embedding inside JSON quotes.
@@ -75,8 +76,15 @@ fn fields_json(rec: &FlightRecorder, fields: &super::recorder::FieldSet) -> Stri
 /// Render the recorder as Chrome trace-event JSON. Spans become
 /// balanced `B`/`E` pairs and instants become `i` events, all on
 /// sim-time microsecond timestamps sorted ascending; `group_name` maps
-/// a track group to the process name shown in the timeline UI.
-pub fn chrome_trace<F: Fn(u32) -> String>(rec: &FlightRecorder, group_name: F) -> String {
+/// a track group to the process name shown in the timeline UI. With
+/// `phases`, each profiled phase's wall-clock call count and total go
+/// into the trace's `otherData` (the trace viewer's metadata panel);
+/// without them the document is sim-time only.
+pub fn chrome_trace<F: Fn(u32) -> String>(
+    rec: &FlightRecorder,
+    phases: Option<&PhaseProfiler>,
+    group_name: F,
+) -> String {
     // (ts, seq) keyed rows: a stable sort on ts keeps each span's B
     // before its E (inserted in that order) and zero-length spans sane.
     let mut rows: Vec<(i64, String)> = Vec::with_capacity(rec.len() * 2 + 8);
@@ -135,7 +143,20 @@ pub fn chrome_trace<F: Fn(u32) -> String>(rec: &FlightRecorder, group_name: F) -
         first = false;
         out.push_str(&row);
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out.push_str("],\"displayTimeUnit\":\"ms\"");
+    if let Some(prof) = phases.filter(|p| p.rows().next().is_some()) {
+        let fields: Vec<String> = prof
+            .rows()
+            .flat_map(|(phase, acc)| {
+                [
+                    format!("\"phase.{}.count\":{}", phase.name(), acc.count),
+                    format!("\"phase.{}.total_ns\":{}", phase.name(), acc.total_ns),
+                ]
+            })
+            .collect();
+        out.push_str(&format!(",\"otherData\":{{{}}}", fields.join(",")));
+    }
+    out.push('}');
     out
 }
 
@@ -432,7 +453,7 @@ mod tests {
             Track::new(1, 1),
             [],
         );
-        let trace = chrome_trace(&r, |g| format!("group {g}"));
+        let trace = chrome_trace(&r, None, |g| format!("group {g}"));
         json::validate(&trace).unwrap();
         assert_eq!(trace.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(trace.matches("\"ph\":\"E\"").count(), 2);
@@ -452,6 +473,27 @@ mod tests {
             })
             .collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "ts not sorted: {ts:?}");
+    }
+
+    #[test]
+    fn chrome_trace_carries_phase_totals_only_when_profiled() {
+        use crate::telemetry::profiler::Phase;
+        let r = FlightRecorder::enabled(8);
+        let bare = chrome_trace(&r, None, |g| format!("group {g}"));
+        // A disabled profiler adds nothing: untraced documents are unchanged.
+        let off = PhaseProfiler::disabled();
+        assert_eq!(chrome_trace(&r, Some(&off), |g| format!("group {g}")), bare);
+        let mut prof = PhaseProfiler::enabled();
+        prof.record_ns(Phase::Regulate, 1_500);
+        prof.record_ns(Phase::Drain, 70);
+        let trace = chrome_trace(&r, Some(&prof), |g| format!("group {g}"));
+        json::validate(&trace).unwrap();
+        assert!(trace.contains("\"phase.regulate.total_ns\":1500"));
+        assert!(trace.contains("\"phase.drain.count\":1"));
+        assert!(
+            !trace.contains("control_tick"),
+            "unrecorded phases are omitted"
+        );
     }
 
     #[test]

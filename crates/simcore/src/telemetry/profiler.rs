@@ -17,12 +17,19 @@ pub enum Phase {
     /// Model event dispatch (`Model::handle`, all arms). Sampled like
     /// [`Phase::EventPop`].
     Dispatch,
-    /// Control tick, end to end (contains the two thermal phases).
+    /// Control tick, end to end (contains the thermal, regulate and
+    /// drain phases).
     ControlTick,
     /// Staging per-worker thermal intervals into the SoA batch.
     StageThermal,
     /// The fused fleet-wide thermal sweep.
     StepStaged,
+    /// Closing every worker's tick: energy integrals, thermostat and
+    /// heat-regulator solve (`finish_control_tick` over all clusters).
+    Regulate,
+    /// Starting the queued work each cluster's new budget admits (the
+    /// in-tick `drain_cluster` over all clusters).
+    Drain,
     /// Fault runtime: sensor overlays, fail/repair/outage handling.
     FaultRuntime,
     /// Peak-policy offload decisions and their carry-out.
@@ -32,12 +39,14 @@ pub enum Phase {
 }
 
 impl Phase {
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 10] = [
         Phase::EventPop,
         Phase::Dispatch,
         Phase::ControlTick,
         Phase::StageThermal,
         Phase::StepStaged,
+        Phase::Regulate,
+        Phase::Drain,
         Phase::FaultRuntime,
         Phase::Offload,
         Phase::Export,
@@ -50,6 +59,8 @@ impl Phase {
             Phase::ControlTick => "control_tick",
             Phase::StageThermal => "stage_thermal",
             Phase::StepStaged => "step_staged",
+            Phase::Regulate => "regulate",
+            Phase::Drain => "drain",
             Phase::FaultRuntime => "fault_runtime",
             Phase::Offload => "offload",
             Phase::Export => "export",
