@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use df3_core::{Platform, PlatformConfig};
 use simcore::metrics::Histogram;
 use simcore::time::{Calendar, SimDuration, SimTime};
-use simcore::{EventQueue, LegacyEventQueue, RngStreams, SlabEventQueue};
+use simcore::{LegacyEventQueue, RngStreams, SlabEventQueue};
 use thermal::room::{Room, RoomParams};
 use thermal::weather::{Weather, WeatherConfig, WeatherTable};
 use thermal::ThermalBatch;
@@ -103,7 +103,7 @@ macro_rules! queue_burst {
 fn bench(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
+            let mut q = SlabEventQueue::new();
             for i in 0..1_000i64 {
                 q.schedule(SimTime::from_secs((i * 37) % 500), i);
             }

@@ -14,9 +14,8 @@
 //! 3. **Replication sweep** — the Monte-Carlo `replicate()` path that
 //!    every experiment table goes through.
 //!
-//! The engine's queue is whichever implementation the build selected
-//! (`simcore::QUEUE_IMPL`; see the `legacy-queue` feature), and the
-//! report records it — run once per build for a whole-system A/B.
+//! The engine always runs the slab queue; the report's `engine_queue`
+//! field records it as "slab".
 
 use df3_core::{Platform, PlatformConfig};
 use simcore::report::{f2, Table};
@@ -66,7 +65,7 @@ pub struct SweepBench {
 /// Everything `bench` measures (serialised to `BENCH_PR1.json`).
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Which queue the *engine* was built with ("slab" or "legacy").
+    /// Which queue the *engine* runs (always "slab").
     pub engine_queue: &'static str,
     /// Steady-state schedule/cancel/pop mix at platform depths.
     pub queue: QueueBench,
@@ -484,7 +483,7 @@ pub fn run(fast: bool) -> (BenchReport, Table) {
     let year = year_bench(if fast { 0.01 } else { 1.0 }, seed);
     let sweep = sweep_bench(if fast { 4 } else { 16 }, 6, seed);
     let report = BenchReport {
-        engine_queue: simcore::QUEUE_IMPL,
+        engine_queue: "slab",
         queue,
         queue_preempt,
         year,

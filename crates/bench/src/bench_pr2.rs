@@ -447,7 +447,7 @@ pub fn run(fast: bool) -> (BenchPr2Report, Table) {
     let district = district_bench(if fast { 6 } else { 24 * 7 }, seed);
     let (pr1, _) = bench_pr1::run(fast);
     let report = BenchPr2Report {
-        engine_queue: simcore::QUEUE_IMPL,
+        engine_queue: "slab",
         thermal_1k,
         thermal_10k,
         weather,

@@ -264,7 +264,9 @@ pub struct PlatformOutcome {
     pub stats: PlatformStats,
     pub events: u64,
     pub end: SimTime,
-    /// High-water mark of concurrently pending events in the engine.
+    /// High-water mark of pending events in the future-event list.
+    /// Arrivals are streamed, so at most one arrival is ever pending:
+    /// the depth is bounded by the platform's state, not the horizon.
     pub peak_queue: usize,
     /// Flight recorder and phase profiler of the run (both empty and
     /// disabled unless the config turned telemetry on).
@@ -357,10 +359,13 @@ impl Platform {
     /// snapshotted, resumed, or both.
     pub fn run_to(self, jobs: &JobStream, pause_at: SimTime) -> RunTo {
         let horizon = SimTime::ZERO + self.config.horizon;
+        let jobs = jobs.jobs();
+        let pre_horizon = jobs.partition_point(|j| j.arrival < horizon);
         let mut engine = Engine::new(
             PlatformModel {
                 p: self,
-                jobs: jobs.jobs().to_vec(),
+                arrivals: jobs[..pre_horizon].to_vec(),
+                next_arrival: 0,
             },
             horizon,
         );
@@ -373,9 +378,10 @@ impl Platform {
 
     /// Rebuild a paused run from `snapshot_bytes` taken under the SAME
     /// config (weather, fleet shape, policies, fault plan — everything
-    /// is fingerprint-checked). The job stream is not needed: every
-    /// pre-horizon arrival was scheduled at init and lives in the
-    /// snapshotted event queue.
+    /// is fingerprint-checked). The job stream is not needed: the next
+    /// arrival is pending in the snapshotted event queue, and every
+    /// later pre-horizon arrival is in the snapshot's `arrivals`
+    /// section.
     pub fn restore(config: PlatformConfig, bytes: &[u8]) -> Result<PausedRun, SnapshotError> {
         Self::restore_impl(config, None, bytes)
     }
@@ -479,11 +485,15 @@ impl Platform {
         let mut r = file.section("platform")?;
         p.restore_state(&mut r)?;
         r.expect_end()?;
+        let mut r = file.section("arrivals")?;
+        let arrivals = decode_arrivals(&mut r, now)?;
+        r.expect_end()?;
         let telemetry_on = p.config.telemetry.enabled;
         let mut engine = Engine::restored(
             PlatformModel {
                 p,
-                jobs: Vec::new(),
+                arrivals,
+                next_arrival: 0,
             },
             sched,
             events,
@@ -1333,6 +1343,25 @@ fn plan_fingerprint(plan: &FaultPlan) -> u64 {
     simcore::snapshot::fingerprint(format!("{plan:?}").as_bytes())
 }
 
+/// Decode the `arrivals` section: the pre-horizon jobs after the one
+/// pending in the event queue, which must be sorted by `(arrival, id)`
+/// (the [`JobStream`] order) and lie no earlier than the snapshot clock.
+fn decode_arrivals(r: &mut SnapshotReader<'_>, now: SimTime) -> Result<Vec<Job>, SnapshotError> {
+    let arrivals = Vec::<Job>::decode(r)?;
+    if !arrivals.is_sorted_by_key(|j| (j.arrival, j.id)) {
+        return Err(SnapshotError::Corrupt(
+            "arrivals are not sorted by (arrival, id)".into(),
+        ));
+    }
+    if let Some(first) = arrivals.first().filter(|j| j.arrival < now) {
+        return Err(SnapshotError::Corrupt(format!(
+            "arrival of job {} at {} precedes the snapshot clock {now}",
+            first.id.0, first.arrival
+        )));
+    }
+    Ok(arrivals)
+}
+
 /// Close out a finished engine run into a [`PlatformOutcome`].
 fn finish_outcome(model: PlatformModel, summary: RunSummary) -> PlatformOutcome {
     let mut p = model.p;
@@ -1405,6 +1434,14 @@ impl PausedRun {
         let mut w = SnapshotWriter::new();
         p.snapshot_state(&mut w);
         file.add("platform", w);
+        let model = self.engine.model();
+        let arrivals = &model.arrivals[model.next_arrival..];
+        let mut w = SnapshotWriter::new();
+        w.put_u64(arrivals.len() as u64);
+        for job in arrivals {
+            job.encode(&mut w);
+        }
+        file.add("arrivals", w);
         file.to_bytes()
     }
 
@@ -1530,7 +1567,23 @@ impl Snapshot for Ev {
 
 struct PlatformModel {
     p: Platform,
-    jobs: Vec<Job>,
+    /// The run's pre-horizon jobs in [`JobStream`] order. Only the next
+    /// one waits in the event queue; `arrivals[next_arrival..]` have not
+    /// been scheduled yet.
+    arrivals: Vec<Job>,
+    next_arrival: usize,
+}
+
+impl PlatformModel {
+    /// Put the next arrival in the event queue's lead lane, where it
+    /// fires exactly when it would had every arrival been scheduled
+    /// before any other event (see [`Scheduler::at_first`]).
+    fn schedule_next_arrival(&mut self, sched: &mut Scheduler<Ev>) {
+        if let Some(job) = self.arrivals.get(self.next_arrival) {
+            sched.at_first(job.arrival, Ev::Arrival(*job));
+            self.next_arrival += 1;
+        }
+    }
 }
 
 impl Model for PlatformModel {
@@ -1540,11 +1593,7 @@ impl Model for PlatformModel {
         if self.p.config.telemetry.enabled {
             sched.profiler = PhaseProfiler::enabled();
         }
-        for job in &self.jobs {
-            if job.arrival < sched.horizon() {
-                sched.at(job.arrival, Ev::Arrival(*job));
-            }
-        }
+        self.schedule_next_arrival(sched);
         sched.immediately(Ev::ControlTick);
         if self.p.effective_mtbf.is_some() {
             for c in 0..self.p.config.n_clusters {
@@ -1561,6 +1610,7 @@ impl Model for PlatformModel {
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
             Ev::Arrival(job) => {
+                self.schedule_next_arrival(sched);
                 if job.is_edge() {
                     self.p.stats.edge_arrived.inc();
                 } else {
@@ -2142,8 +2192,8 @@ mod tests {
         let cold = Platform::new(cfg.clone()).run(&jobs);
         let paused = pause_at(cfg.clone(), &jobs, 2);
         let bytes = paused.snapshot_bytes();
-        // The restored run never sees the job stream: arrivals live in
-        // the snapshotted event queue.
+        // The restored run never sees the job stream: the next arrival
+        // is in the snapshotted event queue, the rest in `arrivals`.
         let warm = Platform::restore(cfg, &bytes).expect("round trip").resume();
         assert_eq!(cold.events, warm.events);
         assert_eq!(stats_bytes(&cold.stats), stats_bytes(&warm.stats));
@@ -2162,6 +2212,58 @@ mod tests {
         assert!(
             Platform::restore(other, &bytes).is_err(),
             "plan drift without restore_branch"
+        );
+    }
+
+    /// Rebuild `bytes` with its `arrivals` section replaced by `jobs`
+    /// (a valid container: every CRC is recomputed).
+    fn with_arrivals(bytes: &[u8], jobs: &[Job]) -> Vec<u8> {
+        let file = SnapshotFile::from_bytes(bytes).unwrap();
+        let mut out = SnapshotFile::new();
+        for name in file.names() {
+            let mut w = SnapshotWriter::new();
+            if name == "arrivals" {
+                jobs.to_vec().encode(&mut w);
+            } else {
+                let mut r = file.section(name).unwrap();
+                w.put_bytes(r.take_bytes(r.remaining()).unwrap());
+            }
+            out.add(name, w);
+        }
+        out.to_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_unsorted_or_past_arrivals() {
+        let jobs = edge_stream(6);
+        let bytes = pause_at(tiny_config(), &jobs, 2).snapshot_bytes();
+        let file = SnapshotFile::from_bytes(&bytes).unwrap();
+        let rest = Vec::<Job>::decode(&mut file.section("arrivals").unwrap()).unwrap();
+        assert!(rest.len() > 2, "the checkpoint still has arrivals ahead");
+        assert!(Platform::restore(tiny_config(), &with_arrivals(&bytes, &rest)).is_ok());
+
+        let mut unsorted = rest.clone();
+        unsorted.swap(0, 1);
+        match Platform::restore(tiny_config(), &with_arrivals(&bytes, &unsorted)) {
+            Err(SnapshotError::Corrupt(m)) => assert!(m.contains("sorted"), "{m}"),
+            other => panic!("unsorted arrivals: {:?}", other.err()),
+        }
+        let mut past = rest;
+        past[0].arrival = SimTime::ZERO;
+        match Platform::restore(tiny_config(), &with_arrivals(&bytes, &past)) {
+            Err(SnapshotError::Corrupt(m)) => assert!(m.contains("snapshot clock"), "{m}"),
+            other => panic!("arrival before the clock: {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn version_1_snapshots_are_rejected() {
+        let jobs = edge_stream(6);
+        let mut bytes = pause_at(tiny_config(), &jobs, 2).snapshot_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Platform::restore(tiny_config(), &bytes).err(),
+            Some(SnapshotError::BadVersion(1))
         );
     }
 

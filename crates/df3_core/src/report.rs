@@ -112,6 +112,10 @@ impl<'a> RunReport<'a> {
 
     /// The JSONL run report (one JSON object per line, stable key
     /// order). Validated line by line by the exporter tests.
+    ///
+    /// The `meta` record's `peak_queue` is the high-water mark of
+    /// pending events in the future-event list. Arrivals are streamed,
+    /// so at most one arrival is ever pending.
     pub fn jsonl(&self, opts: &ExportOptions) -> String {
         let mut out = String::new();
         let c = self.config;

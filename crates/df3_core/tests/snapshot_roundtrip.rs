@@ -93,7 +93,7 @@ proptest! {
         let cold = Platform::new(cfg.clone()).run(&js);
         let bytes = snapshot_at(&cfg, &js, at);
         // The restored side never sees the job stream: arrivals live in
-        // the snapshotted event queue.
+        // the snapshot.
         let warm = Platform::restore(cfg.clone(), &bytes)
             .expect("own snapshot must restore")
             .resume();

@@ -2,7 +2,7 @@
 //! future-event list and dispatching each event to the model, which may
 //! schedule further events through the [`Scheduler`] facade.
 
-use crate::event::{EventId, EventQueue};
+use crate::event::{EventId, SlabEventQueue};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::telemetry::{Phase, PhaseProfiler, HOT_PHASE_STRIDE};
 use crate::time::{SimDuration, SimTime};
@@ -28,7 +28,7 @@ pub trait Model {
 /// Scheduling facade handed to the model during event handling.
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: EventQueue<E>,
+    queue: SlabEventQueue<E>,
     horizon: SimTime,
     stopped: bool,
     /// Wall-clock phase profiler. Disabled (one branch per event) until
@@ -41,7 +41,7 @@ impl<E> Scheduler<E> {
     fn new(horizon: SimTime) -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: SlabEventQueue::new(),
             horizon,
             stopped: false,
             profiler: PhaseProfiler::disabled(),
@@ -72,6 +72,23 @@ impl<E> Scheduler<E> {
             self.now
         );
         self.queue.schedule(at, event)
+    }
+
+    /// Schedule `event` at absolute time `at`, ahead of every event
+    /// scheduled with the other methods for that instant; `at_first`
+    /// events fire among themselves in call order. Feeding a stream
+    /// sorted by time through `at_first` one event at a time (each
+    /// handler scheduling its successor) dispatches exactly as
+    /// scheduling the whole stream with [`Scheduler::at`] before any
+    /// other call would, while keeping one pending entry instead of the
+    /// stream. Panics if `at` is in the past.
+    pub fn at_first(&mut self, at: SimTime, event: E) -> EventId {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < {}",
+            self.now
+        );
+        self.queue.schedule_lead(at, event)
     }
 
     /// Schedule `event` immediately (after all events already queued for
@@ -117,7 +134,7 @@ impl<E: Snapshot> Snapshot for Scheduler<E> {
         let now = SimTime::decode(r)?;
         let horizon = SimTime::decode(r)?;
         let stopped = r.take_bool()?;
-        let queue = EventQueue::decode(r)?;
+        let queue = SlabEventQueue::decode(r)?;
         Ok(Scheduler {
             now,
             horizon,
@@ -137,7 +154,7 @@ pub struct RunSummary {
     pub end_time: SimTime,
     /// Why the run ended.
     pub reason: StopReason,
-    /// High-water mark of concurrently pending events.
+    /// High-water mark of pending events in the future-event list.
     pub peak_queue: usize,
 }
 
@@ -581,6 +598,221 @@ mod tests {
         let (m, s) = restored.run();
         assert_eq!(m.fired_at, ref_model.fired_at);
         assert_eq!(s, ref_summary);
+    }
+
+    /// Order oracle for [`Scheduler::at_first`]: a presorted stream fed
+    /// one event at a time must dispatch exactly as the same stream
+    /// scheduled eagerly with `at` before any other call, with ordinary
+    /// events (immediate, delayed, colliding with stream instants,
+    /// cancelled) interleaved by the handlers.
+    mod lead_lane_oracle {
+        use super::*;
+        use crate::snapshot::{SnapshotReader, SnapshotWriter};
+
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Ev {
+            /// The stream entry with this index.
+            Arrival(usize),
+            Work(u64),
+        }
+
+        impl Snapshot for Ev {
+            fn encode(&self, w: &mut SnapshotWriter) {
+                match *self {
+                    Ev::Arrival(k) => {
+                        w.put_u8(0);
+                        w.put_usize(k);
+                    }
+                    Ev::Work(id) => {
+                        w.put_u8(1);
+                        w.put_u64(id);
+                    }
+                }
+            }
+            fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                match r.take_u8()? {
+                    0 => Ok(Ev::Arrival(r.take_usize()?)),
+                    1 => Ok(Ev::Work(r.take_u64()?)),
+                    b => Err(SnapshotError::Corrupt(format!("tag {b}"))),
+                }
+            }
+        }
+
+        const HORIZON_S: i64 = 15;
+        const SPAWN_BUDGET: u64 = 150;
+
+        #[derive(Clone)]
+        struct Feeder {
+            /// Arrival instants, sorted; the index is the arrival's id.
+            stream: Vec<SimTime>,
+            streamed: bool,
+            /// Next stream index to schedule (streamed mode).
+            next: usize,
+            rng: u64,
+            /// Ordinary events the handlers may cancel later.
+            held: Vec<EventId>,
+            spawned: u64,
+            log: Vec<(SimTime, Ev)>,
+            cancels: Vec<bool>,
+        }
+
+        impl Feeder {
+            fn new(seed: u64, streamed: bool) -> Self {
+                let mut f = Feeder {
+                    stream: Vec::new(),
+                    streamed,
+                    next: 0,
+                    rng: seed,
+                    held: Vec::new(),
+                    spawned: 0,
+                    log: Vec::new(),
+                    cancels: Vec::new(),
+                };
+                // Whole seconds over a span past the horizon: exact
+                // ties, same-instant batches, t = 0, and entries that
+                // never fire.
+                let n = f.rand() % 40;
+                let mut stream: Vec<SimTime> = (0..n)
+                    .map(|_| SimTime::from_secs((f.rand() % (HORIZON_S as u64 + 2)) as i64))
+                    .collect();
+                stream.sort();
+                f.stream = stream;
+                f
+            }
+
+            /// SplitMix64: the model's own stream, advanced only by
+            /// handled events, so both paths draw the same numbers as
+            /// long as they dispatch the same sequence.
+            fn rand(&mut self) -> u64 {
+                self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            fn feed(&mut self, sched: &mut Scheduler<Ev>) {
+                if let Some(&at) = self.stream.get(self.next) {
+                    sched.at_first(at, Ev::Arrival(self.next));
+                    self.next += 1;
+                }
+            }
+
+            fn spawn(&mut self, sched: &mut Scheduler<Ev>) {
+                if self.spawned >= SPAWN_BUDGET {
+                    return;
+                }
+                self.spawned += 1;
+                let ev = Ev::Work(self.spawned);
+                let r = self.rand();
+                let id = match r % 4 {
+                    0 => sched.immediately(ev),
+                    1 => sched.after(SimDuration::from_secs((r >> 8) as i64 % 3), ev),
+                    // Collide with a stream instant (or now, if it passed).
+                    2 if !self.stream.is_empty() => {
+                        let at = self.stream[(r >> 8) as usize % self.stream.len()];
+                        sched.at(at.max(sched.now()), ev)
+                    }
+                    _ => sched.after(SimDuration::from_millis(500), ev),
+                };
+                if r & (1 << 40) != 0 {
+                    self.held.push(id);
+                }
+            }
+        }
+
+        impl Model for Feeder {
+            type Event = Ev;
+
+            fn init(&mut self, sched: &mut Scheduler<Ev>) {
+                if self.streamed {
+                    self.feed(sched);
+                } else {
+                    for (k, &at) in self.stream.iter().enumerate() {
+                        sched.at(at, Ev::Arrival(k));
+                    }
+                }
+                for _ in 0..4 {
+                    self.spawn(sched);
+                }
+            }
+
+            fn handle(&mut self, t: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+                if self.streamed && matches!(ev, Ev::Arrival(_)) {
+                    self.feed(sched);
+                }
+                self.log.push((t, ev));
+                for _ in 0..self.rand() % 3 {
+                    self.spawn(sched);
+                }
+                if self.rand().is_multiple_of(4) && !self.held.is_empty() {
+                    let k = self.rand() as usize % self.held.len();
+                    let id = self.held.swap_remove(k);
+                    self.cancels.push(sched.cancel(id));
+                }
+            }
+        }
+
+        fn engine(seed: u64, streamed: bool) -> Engine<Feeder> {
+            Engine::new(Feeder::new(seed, streamed), SimTime::from_secs(HORIZON_S))
+        }
+
+        #[test]
+        fn streamed_arrivals_dispatch_exactly_as_eager_ones() {
+            let mut ties = 0;
+            for seed in 0..400 {
+                let (eager, es) = engine(seed, false).run();
+                let (streamed, ss) = engine(seed, true).run();
+                assert_eq!(streamed.log, eager.log, "seed {seed}");
+                assert_eq!(streamed.cancels, eager.cancels, "seed {seed}");
+                assert_eq!(
+                    (ss.events, ss.end_time, ss.reason),
+                    (es.events, es.end_time, es.reason),
+                    "seed {seed}"
+                );
+                assert!(ss.peak_queue <= es.peak_queue, "seed {seed}");
+                // Count arrivals that tied with an ordinary event, so
+                // the test cannot silently stop exercising ties.
+                ties += eager
+                    .log
+                    .windows(2)
+                    .filter(|w| {
+                        w[0].0 == w[1].0
+                            && matches!(w[0].1, Ev::Arrival(_))
+                            && matches!(w[1].1, Ev::Work(_))
+                    })
+                    .count();
+            }
+            assert!(ties > 100, "only {ties} arrival/ordinary ties exercised");
+        }
+
+        #[test]
+        fn streamed_arrivals_survive_snapshot_and_restore_mid_stream() {
+            for seed in 0..100 {
+                let (eager, es) = engine(seed, false).run();
+                for pause_ms in [0, 1_000, 2_500, 6_000, 11_000] {
+                    let paused = match engine(seed, true)
+                        .run_until(SimTime::from_micros(pause_ms * 1_000))
+                    {
+                        EngineRun::Paused(e) => e,
+                        EngineRun::Finished(..) => continue,
+                    };
+                    let mut w = SnapshotWriter::new();
+                    paused.scheduler().encode(&mut w);
+                    let model = paused.model().clone();
+                    let events = paused.events();
+                    drop(paused);
+                    let bytes = w.into_bytes();
+                    let mut r = SnapshotReader::new(&bytes);
+                    let sched = Scheduler::decode(&mut r).unwrap();
+                    r.expect_end().unwrap();
+                    let (m, s) = Engine::restored(model, sched, events).run();
+                    assert_eq!(m.log, eager.log, "seed {seed} pause {pause_ms} ms");
+                    assert_eq!(m.cancels, eager.cancels, "seed {seed} pause {pause_ms} ms");
+                    assert_eq!(s.events, es.events, "seed {seed} pause {pause_ms} ms");
+                }
+            }
+        }
     }
 
     #[test]

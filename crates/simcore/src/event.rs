@@ -37,8 +37,22 @@
 //! across runs, platforms, and queue implementations. The
 //! [`legacy::LegacyEventQueue`] (the previous implementation) is kept,
 //! always compiled, so benches and tests can verify both performance and
-//! order-equivalence; building with the `legacy-queue` feature swaps it
-//! back in as the engine's queue for whole-system A/B runs.
+//! order-equivalence.
+//!
+//! ## The lead lane
+//!
+//! [`schedule_lead`] draws `seq` from a second counter that starts at 0,
+//! while ordinary [`schedule`] calls draw from one that starts at
+//! 2⁶³. A lead event therefore fires before every
+//! ordinary event at the same instant, and lead events fire among
+//! themselves in call order. This is exactly the order a presorted
+//! stream gets when all of it is scheduled before anything else — so a
+//! model can feed such a stream one event at a time, keeping one pending
+//! entry instead of the whole stream, without changing the dispatch
+//! sequence.
+//!
+//! [`schedule_lead`]: SlabEventQueue::schedule_lead
+//! [`schedule`]: SlabEventQueue::schedule
 //!
 //! [`pop`]: SlabEventQueue::pop
 //! [`peek_time`]: SlabEventQueue::peek_time
@@ -179,6 +193,10 @@ impl MinHeap4 {
     }
 }
 
+/// Sequence numbers below this belong to the lead lane
+/// ([`SlabEventQueue::schedule_lead`]); ordinary events start here.
+const LEAD_SEQS: u64 = 1 << 63;
+
 /// A payload slot in the slab.
 struct Slot<E> {
     /// Current generation; an [`EventId`] is live iff its generation
@@ -193,7 +211,10 @@ pub struct SlabEventQueue<E> {
     slots: Vec<Slot<E>>,
     /// Indices of vacant slots, reused LIFO for cache warmth.
     free: Vec<u32>,
+    /// Next ordinary sequence number (starts at `LEAD_SEQS`).
     next_seq: u64,
+    /// Next lead-lane sequence number (stays below `LEAD_SEQS`).
+    next_lead_seq: u64,
     /// Live (scheduled, not cancelled, not fired) events.
     live: usize,
     /// High-water mark of `live` over the queue's lifetime.
@@ -212,7 +233,8 @@ impl<E> SlabEventQueue<E> {
             heap: MinHeap4::with_capacity(0),
             slots: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
+            next_seq: LEAD_SEQS,
+            next_lead_seq: 0,
             live: 0,
             peak_live: 0,
         }
@@ -224,7 +246,8 @@ impl<E> SlabEventQueue<E> {
             heap: MinHeap4::with_capacity(n),
             slots: Vec::with_capacity(n),
             free: Vec::new(),
-            next_seq: 0,
+            next_seq: LEAD_SEQS,
+            next_lead_seq: 0,
             live: 0,
             peak_live: 0,
         }
@@ -248,9 +271,25 @@ impl<E> SlabEventQueue<E> {
     ///
     /// Panics if `time` is `SimTime::MAX` (reserved as "never").
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        assert!(time < SimTime::MAX, "cannot schedule at SimTime::MAX");
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.insert(time, seq, payload)
+    }
+
+    /// Schedule `payload` at `time` in the lead lane: it fires before
+    /// every ordinary event at the same instant, and after lead events
+    /// scheduled earlier for that instant (see the module docs).
+    ///
+    /// Panics if `time` is `SimTime::MAX`, or after 2⁶³ lead events.
+    pub fn schedule_lead(&mut self, time: SimTime, payload: E) -> EventId {
+        let seq = self.next_lead_seq;
+        assert!(seq < LEAD_SEQS, "lead lane exhausted");
+        self.next_lead_seq += 1;
+        self.insert(time, seq, payload)
+    }
+
+    fn insert(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
+        assert!(time < SimTime::MAX, "cannot schedule at SimTime::MAX");
         let slot = match self.free.pop() {
             Some(s) => {
                 let entry = &mut self.slots[s as usize];
@@ -350,7 +389,7 @@ impl<E> SlabEventQueue<E> {
 }
 
 /// Checkpoints the queue **verbatim** — heap array layout, slab slots,
-/// generation counters, free-list order, sequence counter. Heap layout
+/// generation counters, free-list order, both sequence counters. Heap layout
 /// is itself a deterministic function of the schedule/cancel/pop call
 /// sequence, so the byte image is reproducible, and a verbatim restore
 /// keeps every outstanding [`EventId`] live with its exact generation
@@ -372,6 +411,7 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
         }
         self.free.encode(w);
         w.put_u64(self.next_seq);
+        w.put_u64(self.next_lead_seq);
         w.put_usize(self.live);
         w.put_usize(self.peak_live);
     }
@@ -400,8 +440,15 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
         }
         let free = Vec::<u32>::decode(r)?;
         let next_seq = r.take_u64()?;
+        let next_lead_seq = r.take_u64()?;
         let live = r.take_usize()?;
         let peak_live = r.take_usize()?;
+        if next_seq < LEAD_SEQS || next_lead_seq > LEAD_SEQS {
+            return Err(SnapshotError::Corrupt(format!(
+                "event queue: sequence counters {next_seq} / lead {next_lead_seq} \
+                 cross the lane boundary"
+            )));
+        }
         let occupied = slots.iter().filter(|s| s.payload.is_some()).count();
         if occupied != live {
             return Err(SnapshotError::Corrupt(format!(
@@ -420,6 +467,7 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
             slots,
             free,
             next_seq,
+            next_lead_seq,
             live,
             peak_live,
         })
@@ -429,13 +477,10 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
 pub mod legacy {
     //! The pre-slab future-event list: `BinaryHeap` of full entries plus
     //! `cancelled`/`pending` `HashSet<u64>` side tables. Kept (always
-    //! compiled) as the baseline for the `simcore_kernels` benches and
-    //! the order-equivalence tests; the `legacy-queue` feature swaps it
-    //! back in as [`EventQueue`](super::EventQueue) for whole-system A/B
-    //! benchmark runs.
+    //! compiled) as the baseline for the queue microbenches and the
+    //! order-equivalence tests.
 
     use super::EventId;
-    use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
     use crate::time::SimTime;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -563,73 +608,7 @@ pub mod legacy {
             n
         }
     }
-
-    /// The legacy internals are hash sets and a `BinaryHeap`, neither of
-    /// which iterates deterministically — so the encoding canonicalises:
-    /// entries sorted by sequence number, side tables sorted. Restored
-    /// heap layout may differ from the uninterrupted run's, but pop
-    /// order is the strict `(time, seq)` total order either way.
-    impl<E: Snapshot> Snapshot for LegacyEventQueue<E> {
-        fn encode(&self, w: &mut SnapshotWriter) {
-            let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-            entries.sort_by_key(|e| e.seq);
-            w.put_u64(entries.len() as u64);
-            for e in entries {
-                e.time.encode(w);
-                w.put_u64(e.seq);
-                e.payload.encode(w);
-            }
-            let mut cancelled: Vec<u64> = self.cancelled.iter().copied().collect();
-            cancelled.sort_unstable();
-            cancelled.encode(w);
-            let mut pending: Vec<u64> = self.pending.iter().copied().collect();
-            pending.sort_unstable();
-            pending.encode(w);
-            w.put_u64(self.next_seq);
-            w.put_usize(self.peak);
-        }
-
-        fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-            let n = r.take_len()?;
-            let mut heap = BinaryHeap::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let time = SimTime::decode(r)?;
-                let seq = r.take_u64()?;
-                let payload = E::decode(r)?;
-                heap.push(Entry { time, seq, payload });
-            }
-            let cancelled: std::collections::HashSet<u64> =
-                Vec::<u64>::decode(r)?.into_iter().collect();
-            let pending: std::collections::HashSet<u64> =
-                Vec::<u64>::decode(r)?.into_iter().collect();
-            let next_seq = r.take_u64()?;
-            let peak = r.take_usize()?;
-            if heap.len() != pending.len() + cancelled.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "legacy queue: {} heap entries vs {} pending + {} cancelled",
-                    heap.len(),
-                    pending.len(),
-                    cancelled.len()
-                )));
-            }
-            Ok(LegacyEventQueue {
-                heap,
-                cancelled,
-                pending,
-                next_seq,
-                peak,
-            })
-        }
-    }
 }
-
-/// The engine's future-event list. The slab queue by default; the
-/// `legacy-queue` feature swaps the previous implementation back in for
-/// whole-system A/B benchmarking (`BENCH_PR1.json` records both).
-#[cfg(not(feature = "legacy-queue"))]
-pub type EventQueue<E> = SlabEventQueue<E>;
-#[cfg(feature = "legacy-queue")]
-pub type EventQueue<E> = legacy::LegacyEventQueue<E>;
 
 #[cfg(test)]
 mod tests {
@@ -788,52 +767,105 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
-    /// Snapshot/restore mid-trace must preserve pop order, live handles,
-    /// and future id assignment — for both queue implementations.
-    macro_rules! queue_snapshot_suite {
-        ($name:ident, $Q:ident) => {
-            #[test]
-            fn $name() {
-                use crate::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
-                let mut q = $Q::new();
-                let keep = q.schedule(t(50), 1u64);
-                let doomed = q.schedule(t(60), 2);
-                q.schedule(t(40), 3);
-                q.cancel(doomed);
-                q.pop(); // fires 3
-                q.schedule(t(45), 4);
+    /// Snapshot/restore mid-trace must preserve pop order (lead lane
+    /// included), live handles, and future id assignment.
+    #[test]
+    fn slab_snapshot_roundtrip() {
+        use crate::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+        let mut q = SlabEventQueue::new();
+        let keep = q.schedule(t(50), 1u64);
+        let doomed = q.schedule(t(60), 2);
+        q.schedule(t(40), 3);
+        q.cancel(doomed);
+        q.pop(); // fires 3
+        q.schedule(t(45), 4);
+        q.schedule_lead(t(45), 6);
 
-                let mut w = SnapshotWriter::new();
-                q.encode(&mut w);
-                let bytes = w.into_bytes();
-                let mut r = SnapshotReader::new(&bytes);
-                let mut back = $Q::<u64>::decode(&mut r).unwrap();
-                r.expect_end().unwrap();
+        let mut w = SnapshotWriter::new();
+        q.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        let mut back = SlabEventQueue::<u64>::decode(&mut r).unwrap();
+        r.expect_end().unwrap();
 
-                assert_eq!(back.len(), q.len());
-                assert_eq!(back.peak_depth(), q.peak_depth());
-                // The held handle survives and cancels the same event.
-                assert!(back.cancel(keep));
-                assert!(q.cancel(keep));
-                // Remaining pops agree, and so do ids issued afterwards.
-                assert_eq!(back.schedule(t(70), 5), q.schedule(t(70), 5));
-                loop {
-                    let a = q.pop();
-                    assert_eq!(a, back.pop());
-                    if a.is_none() {
-                        break;
-                    }
-                }
-                // Truncated input errors, never panics.
-                for cut in 0..bytes.len() {
-                    assert!($Q::<u64>::decode(&mut SnapshotReader::new(&bytes[..cut])).is_err());
-                }
+        assert_eq!(back.len(), q.len());
+        assert_eq!(back.peak_depth(), q.peak_depth());
+        // The held handle survives and cancels the same event.
+        assert!(back.cancel(keep));
+        assert!(q.cancel(keep));
+        // Remaining pops agree, and so do ids issued afterwards in
+        // either lane.
+        assert_eq!(back.schedule(t(70), 5), q.schedule(t(70), 5));
+        assert_eq!(back.schedule_lead(t(70), 7), q.schedule_lead(t(70), 7));
+        let mut order = Vec::new();
+        loop {
+            let a = q.pop();
+            assert_eq!(a, back.pop());
+            match a {
+                Some((_, v)) => order.push(v),
+                None => break,
             }
-        };
+        }
+        assert_eq!(order, [6, 4, 7, 5]);
+        // Truncated input errors, never panics.
+        for cut in 0..bytes.len() {
+            assert!(
+                SlabEventQueue::<u64>::decode(&mut SnapshotReader::new(&bytes[..cut])).is_err()
+            );
+        }
     }
 
-    queue_snapshot_suite!(slab_snapshot_roundtrip, SlabEventQueue);
-    queue_snapshot_suite!(legacy_snapshot_roundtrip, LegacyEventQueue);
+    #[test]
+    fn lead_events_precede_ordinary_ties_in_call_order() {
+        let mut q = SlabEventQueue::new();
+        q.schedule(t(5), "ordinary-1");
+        q.schedule_lead(t(5), "lead-1");
+        q.schedule(t(4), "earlier");
+        q.schedule(t(5), "ordinary-2");
+        q.schedule_lead(t(5), "lead-2");
+        q.schedule_lead(t(6), "later-lead");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(
+            order,
+            [
+                "earlier",
+                "lead-1",
+                "lead-2",
+                "ordinary-1",
+                "ordinary-2",
+                "later-lead"
+            ]
+        );
+        // Lead events cancel like any other.
+        let a = q.schedule_lead(t(9), "cancelled");
+        q.schedule(t(9), "kept");
+        assert!(q.cancel(a));
+        assert_eq!(q.pop(), Some((t(9), "kept")));
+    }
+
+    #[test]
+    fn decode_rejects_sequence_counters_across_the_lane_boundary() {
+        use crate::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+        let q = SlabEventQueue::<u64>::new();
+        let mut w = SnapshotWriter::new();
+        q.encode(&mut w);
+        let bytes = w.into_bytes();
+        // Empty heap, slab and free list: three u64 zero lengths, then
+        // the ordinary and the lead counter.
+        let ordinary = 24;
+        let mut bad = bytes.clone();
+        bad[ordinary..ordinary + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            SlabEventQueue::<u64>::decode(&mut SnapshotReader::new(&bad)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        let mut bad = bytes;
+        bad[ordinary + 8..ordinary + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            SlabEventQueue::<u64>::decode(&mut SnapshotReader::new(&bad)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
 
     /// Drive both implementations through an identical randomized
     /// schedule/cancel/pop trace and require identical observable

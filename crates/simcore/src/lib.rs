@@ -47,17 +47,8 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
-pub use event::{legacy::LegacyEventQueue, EventQueue, SlabEventQueue};
+pub use event::{legacy::LegacyEventQueue, SlabEventQueue};
 pub use rng::RngStreams;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotFile, SnapshotReader, SnapshotWriter};
 pub use telemetry::{Telemetry, TelemetryConfig};
 pub use time::{SimDuration, SimTime};
-
-/// Which future-event-list implementation the engine was built with
-/// (`legacy-queue` feature swaps the pre-slab queue back in), so bench
-/// reports can record what they measured.
-pub const QUEUE_IMPL: &str = if cfg!(feature = "legacy-queue") {
-    "legacy"
-} else {
-    "slab"
-};

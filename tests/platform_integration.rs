@@ -211,3 +211,41 @@ fn failure_free_config_reports_zero_failures() {
     let out = Platform::new(config(2)).run(&jobs);
     assert_eq!(out.stats.worker_failures.get(), 0);
 }
+
+/// Arrivals are streamed into the event queue one at a time, so its
+/// depth is bounded by the platform's state, not by the horizon: four
+/// times the load over four times the horizon leaves the bound alone.
+#[test]
+fn event_queue_depth_does_not_grow_with_the_horizon() {
+    let jobs = mixed_workload(96, 19);
+    let run = |hours| Platform::new(config(hours)).run(&jobs);
+    let (day, four_days) = (run(24), run(96));
+    let cfg = config(24);
+    // Pending events in a fault-free run: one finish per running slice
+    // (a slice holds at least one core), one per job running in the
+    // datacenter (likewise), the control tick, and the next arrival.
+    let bound = cfg.total_df_cores() + cfg.datacenter_cores + 2;
+    for (hours, out) in [(24, &day), (96, &four_days)] {
+        assert!(
+            out.peak_queue <= bound,
+            "{hours} h: peak queue {} above the state bound {bound}",
+            out.peak_queue
+        );
+        let s = &out.stats;
+        assert_eq!(
+            s.edge_arrived.get(),
+            s.edge_terminal() + s.edge_in_flight_end,
+            "{hours} h: edge ledger"
+        );
+        assert_eq!(
+            s.dcc_arrived.get(),
+            s.dcc_completed.get() + s.dcc_rejected.get() + s.dcc_in_flight_end,
+            "{hours} h: dcc ledger"
+        );
+    }
+    let growth = four_days.stats.edge_arrived.get() as f64 / day.stats.edge_arrived.get() as f64;
+    assert!(
+        (3.5..4.5).contains(&growth),
+        "edge arrivals grew {growth:.2}x over four times the horizon"
+    );
+}
