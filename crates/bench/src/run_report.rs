@@ -13,6 +13,7 @@
 //! telemetry leg runs in this mode.
 
 use df3_core::report::{ExportOptions, RunReport};
+use df3_core::stats::PlatformStats;
 use df3_core::{Platform, PlatformConfig};
 use simcore::report::Table;
 use simcore::telemetry::export::json;
@@ -127,6 +128,7 @@ pub fn run(args: &ReportArgs) -> Result<Table, String> {
                 return Err(format!("Prometheus sample unparseable: {line}"));
             }
         }
+        check_counters(&out.stats)?;
     }
 
     std::fs::create_dir_all(&args.out_dir).map_err(|e| format!("create {}: {e}", args.out_dir))?;
@@ -178,6 +180,41 @@ pub fn run(args: &ReportArgs) -> Result<Table, String> {
     Ok(table)
 }
 
+/// The run's counters agree with each other: both job ledgers close
+/// (every arrival is terminal or still in flight), and no peak action
+/// executed more often than the policy decided it.
+fn check_counters(s: &PlatformStats) -> Result<(), String> {
+    for (flow, arrived, accounted) in s.ledgers() {
+        if arrived != accounted {
+            return Err(format!(
+                "{flow} ledger open: {arrived} arrived, {accounted} terminal or in flight"
+            ));
+        }
+    }
+    for (action, executed, decided) in [
+        (
+            "offload_horizontal",
+            &s.offload_horizontal,
+            &s.peak_decided_offload_horizontal,
+        ),
+        (
+            "offload_vertical",
+            &s.offload_vertical,
+            &s.peak_decided_offload_vertical,
+        ),
+        ("delay", &s.delays, &s.peak_decided_delay),
+    ] {
+        if executed.get() > decided.get() {
+            return Err(format!(
+                "{action} executed {} times but decided only {}",
+                executed.get(),
+                decided.get()
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +251,25 @@ mod tests {
     fn unknown_preset_is_an_error() {
         assert!(preset_config("mars_colony").is_err());
         assert!(preset_config("small_winter").is_ok());
+    }
+
+    #[test]
+    fn check_rejects_open_ledgers_and_undecided_actions() {
+        let mut s = PlatformStats::new();
+        assert_eq!(check_counters(&s), Ok(()));
+        s.peak_decided_offload_horizontal.inc();
+        s.peak_decided_delay.inc();
+        s.delays.inc();
+        assert_eq!(check_counters(&s), Ok(()), "executed may lag decided");
+        s.offload_vertical.inc();
+        let err = check_counters(&s).unwrap_err();
+        assert!(err.contains("offload_vertical"), "{err}");
+        let mut s = PlatformStats::new();
+        s.edge_arrived.inc();
+        assert!(check_counters(&s).unwrap_err().contains("edge ledger"));
+        s.edge_in_flight_end = 1;
+        s.dcc_arrived.inc();
+        assert!(check_counters(&s).unwrap_err().contains("dcc ledger"));
     }
 
     #[test]

@@ -5,10 +5,21 @@
 //! alternation), class B dedicates `edge_workers` to edge traffic. The
 //! cluster owns the edge (EDF) and DCC (FIFO) ready queues of its
 //! gateways and exposes the load snapshot the peak policies consume.
+//!
+//! ## The capacity view
+//!
+//! [`ClusterSim::load`] is read on every full-cluster arrival (once per
+//! sibling) and on every DCC routing decision (once per cluster), so it
+//! is a constant-time read of running aggregates: healthy cores, busy
+//! cores and preemptible cores. Every change to a worker's capacity
+//! goes through [`ClusterSim`]'s own methods, which fold the worker's
+//! before/after difference into the aggregates; `restore_state`
+//! rebuilds them. Debug builds check them against a summing reference
+//! after every such change.
 
 use crate::config::ArchClass;
 use crate::regulator::HeatRegulator;
-use crate::worker::WorkerSim;
+use crate::worker::{SensorState, WorkerSim};
 use dfhw::dvfs::DvfsLadder;
 use sched::queue::{Discipline, ReadyQueue};
 use sched::ClusterLoad;
@@ -28,12 +39,36 @@ pub enum Dispatch {
     Full,
 }
 
+/// The parts of a cluster's load that change with its workers: one
+/// worker's share, or (summed) the cluster's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Capacity {
+    /// Cores of workers that are not failed.
+    healthy: usize,
+    busy: usize,
+    preemptible: usize,
+}
+
+impl Capacity {
+    fn of(w: &WorkerSim) -> Self {
+        Capacity {
+            healthy: if w.is_failed() { 0 } else { w.n_cores() },
+            busy: w.busy_cores(),
+            preemptible: w.preemptible_cores(),
+        }
+    }
+}
+
 /// One cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     pub id: usize,
     pub arch: ArchClass,
     workers: Vec<WorkerSim>,
+    /// Sum of [`Capacity::of`] over `workers`, kept in step by
+    /// [`ClusterSim::mutate_worker`] (derived: rebuilt on restore,
+    /// never snapshotted).
+    capacity: Capacity,
     /// First room slot of this cluster in the fleet [`ThermalBatch`]
     /// (worker `w`'s room is slot `room_base + w`).
     room_base: usize,
@@ -80,13 +115,68 @@ impl ClusterSim {
                 ws
             })
             .collect();
-        ClusterSim {
+        let mut c = ClusterSim {
             id,
             arch,
             workers,
+            capacity: Capacity::default(),
             room_base,
             edge_queue: ReadyQueue::new(Discipline::Edf),
             dcc_queue: ReadyQueue::new(Discipline::Fifo),
+        };
+        c.rebuild_capacity();
+        c
+    }
+
+    /// Recompute the capacity aggregates from the workers' own counts.
+    fn rebuild_capacity(&mut self) {
+        self.capacity = self
+            .workers
+            .iter()
+            .map(Capacity::of)
+            .fold(Capacity::default(), |a, w| Capacity {
+                healthy: a.healthy + w.healthy,
+                busy: a.busy + w.busy,
+                preemptible: a.preemptible + w.preemptible,
+            });
+    }
+
+    /// The one path by which a worker's capacity changes: run `f` on
+    /// worker `i` and fold the change in its healthy, busy and
+    /// preemptible cores into the cluster's aggregates.
+    fn mutate_worker<R>(&mut self, i: usize, f: impl FnOnce(&mut WorkerSim) -> R) -> R {
+        let before = Capacity::of(&self.workers[i]);
+        let r = f(&mut self.workers[i]);
+        let after = Capacity::of(&self.workers[i]);
+        let c = &mut self.capacity;
+        c.healthy = c.healthy - before.healthy + after.healthy;
+        c.busy = c.busy - before.busy + after.busy;
+        c.preemptible = c.preemptible - before.preemptible + after.preemptible;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.capacity,
+            self.summed_capacity(),
+            "cluster {}: capacity aggregates drifted from the workers",
+            self.id
+        );
+        r
+    }
+
+    /// Reference for the aggregates: healthy cores summed over the
+    /// workers, busy and preemptible cores summed over every running
+    /// slice (independent of the workers' own kept counts).
+    #[cfg(any(test, debug_assertions))]
+    fn summed_capacity(&self) -> Capacity {
+        let slices = || self.workers.iter().flat_map(|w| w.running());
+        Capacity {
+            healthy: self
+                .workers
+                .iter()
+                .filter(|w| !w.is_failed())
+                .map(|w| w.n_cores())
+                .sum(),
+            busy: slices().map(|s| s.cores).sum(),
+            preemptible: slices().filter(|s| !s.job.is_edge()).map(|s| s.cores).sum(),
         }
     }
 
@@ -104,8 +194,34 @@ impl ClusterSim {
         &self.workers[w]
     }
 
-    pub fn worker_mut(&mut self, w: usize) -> &mut WorkerSim {
-        &mut self.workers[w]
+    /// Break worker `w` at `now` (see [`WorkerSim::fail`]); returns its
+    /// preempted jobs.
+    pub fn fail_worker(&mut self, w: usize, now: SimTime) -> Vec<Job> {
+        self.mutate_worker(w, |wk| wk.fail(now))
+    }
+
+    /// Return worker `w` to service.
+    pub fn repair_worker(&mut self, w: usize) {
+        self.mutate_worker(w, WorkerSim::repair);
+    }
+
+    /// Set worker `w`'s room-sensor fault state.
+    pub fn set_sensor(&mut self, w: usize, state: SensorState) {
+        self.workers[w].set_sensor(state);
+    }
+
+    /// Set the degraded-reading bias of every worker's sensor, °C.
+    pub fn set_sensor_bias_c(&mut self, bias_c: f64) {
+        for w in &mut self.workers {
+            w.set_sensor_bias_c(bias_c);
+        }
+    }
+
+    /// Start `job` on worker `i` at its full width (the switch cost of
+    /// the architecture applies). `None` if the worker cannot take it.
+    pub fn dispatch_on(&mut self, i: usize, now: SimTime, job: Job) -> Option<SimTime> {
+        let cost = self.switch_cost();
+        self.mutate_worker(i, |w| w.dispatch(now, job, cost))
     }
 
     fn switch_cost(&self) -> SimDuration {
@@ -171,7 +287,6 @@ impl ClusterSim {
         job: Job,
         rooms: &mut ThermalBatch,
     ) -> Dispatch {
-        let cost = self.switch_cost();
         // Pass 1: free capacity under the current budgets.
         let mut best: Option<(bool, usize, usize)> = None; // (flow match, free, idx)
         for (i, w) in self.workers.iter().enumerate() {
@@ -199,8 +314,8 @@ impl ClusterSim {
             let mut placed = job;
             placed.cores =
                 Self::moldable_width(&job, self.workers[i].free_cores()).expect("width checked");
-            let finish = self.workers[i]
-                .dispatch(now, placed, cost)
+            let finish = self
+                .dispatch_on(i, now, placed)
                 .expect("free_cores checked");
             return Dispatch::Started { worker: i, finish };
         }
@@ -217,37 +332,40 @@ impl ClusterSim {
             if let Some(width) = Self::moldable_width(&job, self.workers[i].free_cores()) {
                 let mut placed = job;
                 placed.cores = width;
-                let finish = self.workers[i]
-                    .dispatch(now, placed, cost)
-                    .expect("woken with room");
+                let finish = self.dispatch_on(i, now, placed).expect("woken with room");
                 return Dispatch::Started { worker: i, finish };
             }
         }
         Dispatch::Full
     }
 
-    /// Load snapshot for the peak policies. Failed workers contribute
-    /// no capacity: a dark building reports zero total cores, so DCC
-    /// load-balancing and sibling selection route around it instead of
-    /// mistaking it for an empty cluster (in fault-free runs every
-    /// worker is healthy and the snapshot is unchanged).
+    /// Load snapshot for the peak policies, in constant time. Failed
+    /// workers contribute no capacity: a dark building reports zero
+    /// total cores, so DCC load-balancing and sibling selection route
+    /// around it instead of mistaking it for an empty cluster (in
+    /// fault-free runs every worker is healthy and the snapshot is
+    /// unchanged).
     pub fn load(&self) -> ClusterLoad {
-        let total: usize = self
-            .workers
-            .iter()
-            .filter(|w| !w.is_failed())
-            .map(|w| w.n_cores())
-            .sum();
-        let busy: usize = self.workers.iter().map(|w| w.busy_cores()).sum();
-        let preemptible: usize = self.workers.iter().map(|w| w.preemptible_cores()).sum();
+        self.load_from(self.capacity)
+    }
+
+    fn load_from(&self, c: Capacity) -> ClusterLoad {
         ClusterLoad {
             cluster: self.id,
-            total_cores: total,
-            busy_cores: busy,
-            preemptible_cores: preemptible,
+            total_cores: c.healthy,
+            busy_cores: c.busy,
+            preemptible_cores: c.preemptible,
             queued_edge: self.edge_queue.len(),
             queued_dcc: self.dcc_queue.len(),
         }
+    }
+
+    /// [`ClusterSim::load`] recomputed from scratch by summing over the
+    /// workers and their running slices — the reference the aggregates
+    /// are tested against.
+    #[cfg(test)]
+    fn summed_load(&self) -> ClusterLoad {
+        self.load_from(self.summed_capacity())
     }
 
     /// Heat-driven core capacity right now: what the thermostats would
@@ -294,10 +412,9 @@ impl ClusterSim {
             need,
             sched::preempt::VictimOrder::LeastProgressFirst,
         )?;
-        let jobs: Vec<Job> = victims
-            .iter()
-            .map(|&id| self.workers[target].preempt(id, now))
-            .collect();
+        let jobs: Vec<Job> = self.mutate_worker(target, |w| {
+            victims.iter().map(|&id| w.preempt(id, now)).collect()
+        });
         Some((target, jobs))
     }
 
@@ -444,7 +561,7 @@ impl ClusterSim {
 
     /// Remove a finished job from `worker`.
     pub fn finish(&mut self, worker: usize, id: JobId) {
-        self.workers[worker].remove(id);
+        self.mutate_worker(worker, |w| w.remove(id));
     }
 
     /// Total DF energy drawn so far, kWh (all workers).
@@ -487,6 +604,7 @@ impl ClusterSim {
         for worker in &mut self.workers {
             worker.restore_state(r)?;
         }
+        self.rebuild_capacity();
         self.edge_queue = ReadyQueue::decode(r)?;
         self.dcc_queue = ReadyQueue::decode(r)?;
         Ok(())
@@ -683,7 +801,7 @@ mod tests {
         let (mut c, mut rooms) = cluster_a();
         assert_eq!(c.load().total_cores, 64);
         for w in 0..c.n_workers() {
-            c.worker_mut(w).fail(SimTime::ZERO);
+            c.fail_worker(w, SimTime::ZERO);
         }
         assert_eq!(c.load().total_cores, 0, "a dark cluster has no capacity");
         assert_eq!(c.load().utilisation(), 1.0, "…and never looks idle");
@@ -696,7 +814,7 @@ mod tests {
     #[test]
     fn backfill_stages_boiler_heat_for_failed_rooms_only() {
         let (mut c, mut rooms) = cluster_a();
-        c.worker_mut(0).fail(SimTime::ZERO);
+        c.fail_worker(0, SimTime::ZERO);
         // Cold rooms → full thermostat demand on the failed slot.
         for w in 0..c.n_workers() {
             rooms.set_temperature_c(c.room_slot(w), 10.0);
@@ -721,6 +839,120 @@ mod tests {
         c.try_dispatch(SimTime::ZERO, 0.0, edge(2, 2), &mut rooms);
         c.edge_queue.push(edge(3, 1));
         assert_eq!(c.in_flight_by_flow(), (2, 1));
+    }
+
+    /// Every [`ClusterLoad`] field, for comparison.
+    fn fields(l: &ClusterLoad) -> [usize; 6] {
+        [
+            l.cluster,
+            l.total_cores,
+            l.busy_cores,
+            l.preemptible_cores,
+            l.queued_edge,
+            l.queued_dcc,
+        ]
+    }
+
+    /// Random sequences of every capacity-changing operation — dispatch
+    /// and drain, finish, preempt, fail, repair, control ticks and
+    /// snapshot/restore — on both architectures: after each step the
+    /// kept aggregates must equal the summing reference, field by field.
+    #[test]
+    fn kept_load_matches_the_summing_reference() {
+        use rand::Rng;
+        use rand::SeedableRng;
+        for (arch, seed) in (0..6u64).flat_map(|s| [(cluster_a as fn() -> _, s), (cluster_b, s)]) {
+            let (mut c, mut rooms) = arch();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut now = SimTime::ZERO;
+            let mut next_id = 0u64;
+            for step in 0..400 {
+                now += SimDuration::from_secs(rng.gen_range(0..30));
+                next_id += 1;
+                let cores = rng.gen_range(1..9);
+                let job = if rng.gen_bool(0.5) {
+                    edge(next_id, cores)
+                } else {
+                    dcc(next_id, cores, rng.gen_range(10.0..2_000.0))
+                };
+                let op = rng.gen_range(0..8);
+                match op {
+                    0 | 1 => {
+                        if c.try_dispatch(now, 0.0, job, &mut rooms) == Dispatch::Full {
+                            if job.is_edge() {
+                                c.edge_queue.push(job);
+                            } else {
+                                c.dcc_queue.push(job);
+                            }
+                        }
+                    }
+                    2 => {
+                        c.take_expired(now);
+                        c.drain(now, 0.0, &mut rooms);
+                    }
+                    3 => {
+                        let running: Vec<(usize, JobId)> = (0..c.n_workers())
+                            .flat_map(|w| c.worker(w).running().iter().map(move |s| (w, s.job.id)))
+                            .collect();
+                        if !running.is_empty() {
+                            let (w, id) = running[rng.gen_range(0..running.len())];
+                            c.finish(w, id);
+                        }
+                    }
+                    4 => {
+                        // As the platform does: preempt only for an edge
+                        // job that found the cluster full.
+                        let e = edge(next_id, cores);
+                        if c.try_dispatch(now, 0.0, e, &mut rooms) == Dispatch::Full {
+                            if let Some((w, victims)) = c.preempt_for(now, &e) {
+                                c.dispatch_on(w, now, e)
+                                    .expect("preemption freed the cores");
+                                for v in victims {
+                                    c.dcc_queue.push(v);
+                                }
+                            }
+                        }
+                    }
+                    5 => {
+                        let w = rng.gen_range(0..c.n_workers());
+                        if c.worker(w).is_failed() {
+                            c.repair_worker(w);
+                        } else {
+                            for j in c.fail_worker(w, now) {
+                                if !j.is_edge() {
+                                    c.dcc_queue.push(j);
+                                }
+                            }
+                        }
+                    }
+                    6 => {
+                        let outdoor = rng.gen_range(-5.0..15.0);
+                        c.control_tick(now, outdoor, &mut rooms);
+                    }
+                    _ => {
+                        let before = c.load();
+                        let mut w = simcore::snapshot::SnapshotWriter::new();
+                        c.snapshot_state(&mut w);
+                        let bytes = w.into_bytes();
+                        let (mut fresh, _) = arch();
+                        fresh
+                            .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes))
+                            .unwrap();
+                        c = fresh;
+                        assert_eq!(
+                            fields(&c.load()),
+                            fields(&before),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    fields(&c.load()),
+                    fields(&c.summed_load()),
+                    "seed {seed} step {step} op {op}"
+                );
+            }
+        }
     }
 
     #[test]

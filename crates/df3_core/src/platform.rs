@@ -311,9 +311,7 @@ impl Platform {
             if rt.has_sensor_faults() {
                 let bias = rt.plan().recovery.sensor_bias_c;
                 for c in &mut clusters {
-                    for w in 0..c.n_workers() {
-                        c.worker_mut(w).sensor_bias_c = bias;
-                    }
+                    c.set_sensor_bias_c(bias);
                 }
             }
         }
@@ -865,6 +863,7 @@ impl Platform {
                 .collect()
         };
         let action = self.config.peak_policy.decide(&job, &local, &siblings);
+        self.stats.record_peak_decision(&action);
         if self.telemetry.is_enabled() {
             // Rejects get their instant from `reject_edge`/the DCC
             // counter below; the other four decisions are recorded
@@ -911,13 +910,8 @@ impl Platform {
                         self.stats.preemptions.inc();
                         self.clusters[home].dcc_queue.push(v);
                     }
-                    let cost = match self.config.arch {
-                        ArchClass::SharedWorkers { switch_cost } => switch_cost,
-                        _ => SimDuration::ZERO,
-                    };
                     let finish = self.clusters[home]
-                        .worker_mut(worker)
-                        .dispatch(now, job, cost)
+                        .dispatch_on(worker, now, job)
                         .expect("preemption freed the cores");
                     self.start_local(
                         home,
@@ -1009,7 +1003,7 @@ impl Platform {
         }
         // `fail` checkpoints remaining work; a crash keeps nothing, so
         // the checkpointed jobs are discarded in favour of full restarts.
-        let _ = self.clusters[cluster].worker_mut(worker).fail(now);
+        let _ = self.clusters[cluster].fail_worker(worker, now);
         for (job, _, _) in slices {
             if let Some(ev) = self.running_events.remove(slot, job.id) {
                 sched.cancel(ev);
@@ -1064,7 +1058,7 @@ impl Platform {
             self.stats.repair_s.observe(dt);
         }
         self.record_fault_event(now, FaultEventKind::WorkerRepair, cluster, Some(worker));
-        self.clusters[cluster].worker_mut(worker).repair();
+        self.clusters[cluster].repair_worker(worker);
     }
 
     /// Schedule the down/up transitions of every planned cluster outage
@@ -1117,9 +1111,7 @@ impl Platform {
                 None => 0..wpc,
             };
             for w in range {
-                self.clusters[f.cluster]
-                    .worker_mut(w)
-                    .set_sensor(SensorState::Healthy);
+                self.clusters[f.cluster].set_sensor(w, SensorState::Healthy);
             }
         }
         let mut any_active = false;
@@ -1137,7 +1129,7 @@ impl Platform {
                 None => 0..wpc,
             };
             for w in range {
-                self.clusters[f.cluster].worker_mut(w).set_sensor(state);
+                self.clusters[f.cluster].set_sensor(w, state);
             }
         }
         if any_active {
@@ -1206,41 +1198,23 @@ impl Platform {
         }
         self.stats.edge_in_flight_end = edge;
         self.stats.dcc_in_flight_end = dcc;
-        if self.telemetry.is_enabled() {
-            let ledgers = [
-                (
-                    self.stats.edge_arrived.get(),
-                    self.stats.edge_terminal() + edge,
-                ),
-                (
-                    self.stats.dcc_arrived.get(),
-                    self.stats.dcc_completed.get() + self.stats.dcc_rejected.get() + dcc,
-                ),
-            ];
-            for (arrived, accounted) in ledgers {
-                if arrived != accounted {
-                    self.telemetry.recorder.instant(
-                        end,
-                        self.tags.wd_ledger_drift,
-                        Track::PLATFORM,
-                        [
-                            (self.tags.k_arrived, Value::U64(arrived)),
-                            (self.tags.k_accounted, Value::U64(accounted)),
-                        ],
-                    );
-                }
+        for (flow, arrived, accounted) in self.stats.ledgers() {
+            if arrived != accounted && self.telemetry.is_enabled() {
+                self.telemetry.recorder.instant(
+                    end,
+                    self.tags.wd_ledger_drift,
+                    Track::PLATFORM,
+                    [
+                        (self.tags.k_arrived, Value::U64(arrived)),
+                        (self.tags.k_accounted, Value::U64(accounted)),
+                    ],
+                );
             }
+            debug_assert_eq!(
+                arrived, accounted,
+                "{flow} conservation: arrived = terminal outcomes + in-flight"
+            );
         }
-        debug_assert_eq!(
-            self.stats.edge_arrived.get(),
-            self.stats.edge_terminal() + edge,
-            "edge conservation: arrived = completed+rejected+expired+abandoned+in-flight"
-        );
-        debug_assert_eq!(
-            self.stats.dcc_arrived.get(),
-            self.stats.dcc_completed.get() + self.stats.dcc_rejected.get() + dcc,
-            "dcc conservation: arrived = completed+rejected+in-flight"
-        );
     }
 
     /// Checkpoint every run-mutated field of the platform. Statics —
@@ -1958,6 +1932,11 @@ mod tests {
         let jobs = finance_jobs(fin, SimDuration::from_hours(6), &RngStreams::new(3), 0);
         let out = Platform::new(cfg).run(&jobs);
         assert!(out.stats.offload_vertical.get() > 0, "peaks must offload");
+        assert_eq!(
+            out.stats.peak_decided_offload_vertical.get(),
+            out.stats.offload_vertical.get(),
+            "with the WAN up the datacenter takes every decided offload"
+        );
         assert!(out.stats.dc_share() > 0.0);
         assert!(out.stats.dcc_completed.get() > 0);
     }
@@ -2257,14 +2236,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_snapshots_are_rejected() {
+    fn older_snapshot_versions_are_rejected() {
+        // Version 1 predates streamed arrivals, version 2 the
+        // peak-decision counters in the stats section.
         let jobs = edge_stream(6);
-        let mut bytes = pause_at(tiny_config(), &jobs, 2).snapshot_bytes();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            Platform::restore(tiny_config(), &bytes).err(),
-            Some(SnapshotError::BadVersion(1))
-        );
+        let bytes = pause_at(tiny_config(), &jobs, 2).snapshot_bytes();
+        for old in [1u32, 2] {
+            let mut bytes = bytes.clone();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Platform::restore(tiny_config(), &bytes).err(),
+                Some(SnapshotError::BadVersion(old))
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::config::{ArchClass, PlatformConfig};
 use crate::platform::PlatformOutcome;
-use crate::stats::PlatformStats;
+use crate::stats::{PlatformStats, PEAK_DECIDED_HELP};
 use simcore::telemetry::export::{chrome_trace, jnum, jstr, PromText};
 
 /// What goes into the JSONL run report.
@@ -242,11 +242,11 @@ impl<'a> RunReport<'a> {
         let s: &PlatformStats = &self.outcome.stats;
         let mut p = PromText::new();
         for (name, value) in s.counter_rows() {
-            p.counter(
-                &format!("df3_{name}_total"),
-                &format!("platform counter {name}"),
-                value,
-            );
+            let help = match PEAK_DECIDED_HELP.iter().find(|&&(n, _)| n == name) {
+                Some(&(_, help)) => help.to_string(),
+                None => format!("platform counter {name}"),
+            };
+            p.counter(&format!("df3_{name}_total"), &help, value);
         }
         for (name, value) in s.gauge_rows() {
             p.gauge(
@@ -369,6 +369,9 @@ mod tests {
         let report = RunReport::new("test", &cfg, &out);
         let text = report.prometheus();
         assert!(text.contains("# TYPE df3_edge_completed_total counter"));
+        for (name, help) in PEAK_DECIDED_HELP {
+            assert!(text.contains(&format!("# HELP df3_{name}_total {help}\n")));
+        }
         assert!(text.contains("df3_edge_response_ms_bucket{le=\"+Inf\"}"));
         for line in text
             .lines()

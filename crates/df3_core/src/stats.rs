@@ -1,9 +1,40 @@
 //! Everything the experiments measure.
 
 use crate::faults::{FaultEvent, FaultEventKind};
+use sched::PeakAction;
 use simcore::metrics::{Counter, Histogram, Summary, TimeSeries};
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
+
+/// The whole-run peak-decision counters as `(name, help)`, in the order
+/// [`PlatformStats::counter_rows`] lists them last: one definition
+/// each, shared by the JSONL report and the Prometheus export.
+pub const PEAK_DECIDED_HELP: [(&str, &str); 5] = [
+    (
+        "peak_decided_preempt",
+        "full-cluster placements the peak policy answered with preempt \
+         (executed preemptions are counted per victim in preemptions)",
+    ),
+    (
+        "peak_decided_offload_vertical",
+        "full-cluster placements the peak policy answered with offload_vertical \
+         (offload_vertical counts those the datacenter accepted)",
+    ),
+    (
+        "peak_decided_offload_horizontal",
+        "full-cluster placements the peak policy answered with offload_horizontal \
+         (offload_horizontal counts those that started on the sibling)",
+    ),
+    (
+        "peak_decided_delay",
+        "full-cluster placements the peak policy answered with delay \
+         (delays counts those queued at home)",
+    ),
+    (
+        "peak_decided_reject",
+        "full-cluster placements the peak policy answered with reject",
+    ),
+];
 
 /// Cap on stored fault-timeline entries (a week of heavy churn stays
 /// well under this; a runaway plan cannot balloon the run report).
@@ -90,6 +121,15 @@ pub struct PlatformStats {
     /// Datacenter energy, kWh.
     pub dc_it_kwh: f64,
     pub dc_facility_kwh: f64,
+    /// Peak-policy decisions, by action, for the whole run (see
+    /// [`PEAK_DECIDED_HELP`]). The executed counters above can fall
+    /// short of them: a chosen sibling may be full, the datacenter may
+    /// be unreachable.
+    pub peak_decided_preempt: Counter,
+    pub peak_decided_offload_vertical: Counter,
+    pub peak_decided_offload_horizontal: Counter,
+    pub peak_decided_delay: Counter,
+    pub peak_decided_reject: Counter,
 }
 
 impl PlatformStats {
@@ -136,7 +176,24 @@ impl PlatformStats {
             df_compute_kwh: 0.0,
             dc_it_kwh: 0.0,
             dc_facility_kwh: 0.0,
+            peak_decided_preempt: Counter::new(),
+            peak_decided_offload_vertical: Counter::new(),
+            peak_decided_offload_horizontal: Counter::new(),
+            peak_decided_delay: Counter::new(),
+            peak_decided_reject: Counter::new(),
         }
+    }
+
+    /// Count one peak-policy decision.
+    pub fn record_peak_decision(&mut self, action: &PeakAction) {
+        match action {
+            PeakAction::Preempt => &mut self.peak_decided_preempt,
+            PeakAction::OffloadVertical => &mut self.peak_decided_offload_vertical,
+            PeakAction::OffloadHorizontal { .. } => &mut self.peak_decided_offload_horizontal,
+            PeakAction::Delay => &mut self.peak_decided_delay,
+            PeakAction::Reject => &mut self.peak_decided_reject,
+        }
+        .inc();
     }
 
     /// Record an edge completion.
@@ -211,6 +268,25 @@ impl PlatformStats {
             + self.jobs_abandoned.get()
     }
 
+    /// The two job ledgers as `(flow, arrived, accounted)`, where
+    /// accounted = terminal outcomes + in flight at the end. A ledger
+    /// closes when the two agree (the in-flight counts are set when the
+    /// run closes its accounting).
+    pub fn ledgers(&self) -> [(&'static str, u64, u64); 2] {
+        [
+            (
+                "edge",
+                self.edge_arrived.get(),
+                self.edge_terminal() + self.edge_in_flight_end,
+            ),
+            (
+                "dcc",
+                self.dcc_arrived.get(),
+                self.dcc_completed.get() + self.dcc_rejected.get() + self.dcc_in_flight_end,
+            ),
+        ]
+    }
+
     /// Rows of the recovery section of the run report:
     /// `(metric, value)` pairs, rendered by the experiment tables.
     pub fn recovery_report(&self) -> Vec<(String, String)> {
@@ -275,7 +351,7 @@ impl PlatformStats {
     /// fixed order — the exporters (Prometheus text, JSONL run report)
     /// iterate this so their output is byte-reproducible.
     pub fn counter_rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
+        let mut rows = vec![
             ("edge_arrived", self.edge_arrived.get()),
             ("edge_completed", self.edge_completed.get()),
             ("edge_deadline_met", self.edge_deadline_met.get()),
@@ -298,7 +374,21 @@ impl PlatformStats {
             ("fault_timeline_dropped", self.fault_timeline_dropped.get()),
             ("edge_in_flight_end", self.edge_in_flight_end),
             ("dcc_in_flight_end", self.dcc_in_flight_end),
-        ]
+        ];
+        let decided = [
+            &self.peak_decided_preempt,
+            &self.peak_decided_offload_vertical,
+            &self.peak_decided_offload_horizontal,
+            &self.peak_decided_delay,
+            &self.peak_decided_reject,
+        ];
+        rows.extend(
+            PEAK_DECIDED_HELP
+                .iter()
+                .zip(decided)
+                .map(|(&(name, _), c)| (name, c.get())),
+        );
+        rows
     }
 
     /// Derived/continuous metrics as stable `(name, value)` rows, in a
@@ -401,6 +491,11 @@ impl simcore::snapshot::Snapshot for PlatformStats {
         w.put_f64(self.df_compute_kwh);
         w.put_f64(self.dc_it_kwh);
         w.put_f64(self.dc_facility_kwh);
+        self.peak_decided_preempt.encode(w);
+        self.peak_decided_offload_vertical.encode(w);
+        self.peak_decided_offload_horizontal.encode(w);
+        self.peak_decided_delay.encode(w);
+        self.peak_decided_reject.encode(w);
     }
     fn decode(
         r: &mut simcore::snapshot::SnapshotReader<'_>,
@@ -447,6 +542,11 @@ impl simcore::snapshot::Snapshot for PlatformStats {
             df_compute_kwh: r.take_f64()?,
             dc_it_kwh: r.take_f64()?,
             dc_facility_kwh: r.take_f64()?,
+            peak_decided_preempt: Counter::decode(r)?,
+            peak_decided_offload_vertical: Counter::decode(r)?,
+            peak_decided_offload_horizontal: Counter::decode(r)?,
+            peak_decided_delay: Counter::decode(r)?,
+            peak_decided_reject: Counter::decode(r)?,
         })
     }
 }

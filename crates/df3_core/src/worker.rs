@@ -66,6 +66,9 @@ pub struct WorkerSim {
     /// Sum of `running[..].cores`, kept in step with every push and
     /// removal (derived: rebuilt on restore, never snapshotted).
     busy_cores: usize,
+    /// The same sum over the preemptible (non-edge) slices only, kept
+    /// and rebuilt the same way.
+    preemptible_cores: usize,
     /// Last control-tick time (thermal integration anchor).
     last_tick: SimTime,
     /// Energy drawn so far, J (compute + overhead + resistive).
@@ -85,7 +88,7 @@ pub struct WorkerSim {
     /// Last reading taken while the sensor was healthy, °C.
     last_good_c: Option<f64>,
     /// Conservative bias subtracted from degraded readings, °C.
-    pub sensor_bias_c: f64,
+    sensor_bias_c: f64,
     /// Flow of the most recently dispatched job (context-switch cost
     /// model of architecture A).
     last_flow_was_edge: Option<bool>,
@@ -114,6 +117,7 @@ impl WorkerSim {
             decision,
             running: Vec::new(),
             busy_cores: 0,
+            preemptible_cores: 0,
             last_tick: SimTime::ZERO,
             energy_j: 0.0,
             compute_energy_j: 0.0,
@@ -134,6 +138,11 @@ impl WorkerSim {
 
     pub fn sensor(&self) -> SensorState {
         self.sensor
+    }
+
+    /// Set the bias subtracted from degraded sensor readings, °C.
+    pub fn set_sensor_bias_c(&mut self, bias_c: f64) {
+        self.sensor_bias_c = bias_c;
     }
 
     /// What the control loop *measures* given the true `room_c`. A
@@ -182,11 +191,7 @@ impl WorkerSim {
 
     /// Cores held by preemptible (non-edge) jobs.
     pub fn preemptible_cores(&self) -> usize {
-        self.running
-            .iter()
-            .filter(|s| !s.job.is_edge())
-            .map(|s| s.cores)
-            .sum()
+        self.preemptible_cores
     }
 
     pub fn running(&self) -> &[RunningSlice] {
@@ -266,6 +271,9 @@ impl WorkerSim {
         self.last_flow_was_edge = Some(is_edge);
         let finish = start + job.service_time(gops);
         self.busy_cores += job.cores;
+        if !is_edge {
+            self.preemptible_cores += job.cores;
+        }
         self.running.push(RunningSlice {
             job,
             cores: job.cores,
@@ -287,6 +295,9 @@ impl WorkerSim {
             .unwrap_or_else(|| panic!("job {id:?} not running on worker {}", self.id));
         let slice = self.running.swap_remove(idx);
         self.busy_cores -= slice.cores;
+        if !slice.job.is_edge() {
+            self.preemptible_cores -= slice.cores;
+        }
         slice
     }
 
@@ -409,8 +420,9 @@ impl WorkerSim {
     /// Checkpoint the worker's *dynamic* state. The static half (DVFS
     /// ladder, regulator, thermostat, `edge_dedicated`, sensor bias) is
     /// a pure function of the platform config and is rebuilt on
-    /// restore, so only what the run mutated is encoded. The busy-core
-    /// count is derived from the slices and rebuilt on restore too.
+    /// restore, so only what the run mutated is encoded. The busy and
+    /// preemptible core counts are derived from the slices and rebuilt
+    /// on restore too.
     pub fn snapshot_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         use simcore::snapshot::Snapshot;
         self.decision.encode(w);
@@ -434,6 +446,12 @@ impl WorkerSim {
         self.decision = RegulatorDecision::decode(r)?;
         self.running = Vec::decode(r)?;
         self.busy_cores = self.running.iter().map(|s| s.cores).sum();
+        self.preemptible_cores = self
+            .running
+            .iter()
+            .filter(|s| !s.job.is_edge())
+            .map(|s| s.cores)
+            .sum();
         self.last_tick = SimTime::decode(r)?;
         self.energy_j = r.take_f64()?;
         self.compute_energy_j = r.take_f64()?;
@@ -653,12 +671,25 @@ mod tests {
         assert_eq!(w.free_cores(), 0, "but no headroom for new work");
     }
 
-    fn slice_sum(w: &WorkerSim) -> usize {
-        w.running().iter().map(|s| s.cores).sum()
+    /// `(busy, preemptible)` summed over the running slices — the
+    /// reference for the kept counts.
+    fn slice_sums(w: &WorkerSim) -> (usize, usize) {
+        let busy = w.running().iter().map(|s| s.cores).sum();
+        let preemptible = w
+            .running()
+            .iter()
+            .filter(|s| !s.job.is_edge())
+            .map(|s| s.cores)
+            .sum();
+        (busy, preemptible)
+    }
+
+    fn counts(w: &WorkerSim) -> (usize, usize) {
+        (w.busy_cores(), w.preemptible_cores())
     }
 
     #[test]
-    fn busy_core_count_tracks_the_running_slices() {
+    fn busy_and_preemptible_counts_track_the_running_slices() {
         let (mut w, mut room) = worker();
         w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
         for (id, cores) in [(1, 2), (2, 3), (3, 1), (4, 4), (5, 2)] {
@@ -668,15 +699,16 @@ mod tests {
                 SimDuration::ZERO,
             )
             .expect("cold room → full budget");
-            assert_eq!(w.busy_cores(), slice_sum(&w));
+            assert_eq!(counts(&w), slice_sums(&w));
         }
-        assert_eq!(w.busy_cores(), 12);
+        assert_eq!(counts(&w), (12, 5), "DCC jobs 1, 3, 5 are preemptible");
         assert_eq!(w.free_cores(), w.decision().usable_cores - 12);
-        w.remove(JobId(2)); // finish
-        assert_eq!(w.busy_cores(), slice_sum(&w));
-        w.preempt(JobId(1), SimTime::from_secs(10));
-        assert_eq!(w.busy_cores(), slice_sum(&w));
-        assert_eq!(w.busy_cores(), 7);
+        w.remove(JobId(2)); // finish an edge job
+        assert_eq!(counts(&w), slice_sums(&w));
+        assert_eq!(counts(&w), (9, 5));
+        w.preempt(JobId(1), SimTime::from_secs(10)); // preempt a DCC job
+        assert_eq!(counts(&w), slice_sums(&w));
+        assert_eq!(counts(&w), (7, 3));
 
         // Snapshot with three slices running, restore onto a fresh worker.
         let mut sw = simcore::snapshot::SnapshotWriter::new();
@@ -686,13 +718,13 @@ mod tests {
         fresh
             .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes))
             .unwrap();
-        assert_eq!(fresh.busy_cores(), 7);
-        assert_eq!(fresh.busy_cores(), slice_sum(&fresh));
+        assert_eq!(counts(&fresh), (7, 3));
+        assert_eq!(counts(&fresh), slice_sums(&fresh));
 
         let orphans = w.fail(SimTime::from_secs(20));
         assert_eq!(orphans.len(), 3);
-        assert_eq!(w.busy_cores(), 0);
-        assert_eq!(w.busy_cores(), slice_sum(&w));
+        assert_eq!(counts(&w), (0, 0));
+        assert_eq!(counts(&w), slice_sums(&w));
     }
 
     #[test]

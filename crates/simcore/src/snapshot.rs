@@ -42,8 +42,9 @@ pub const MAGIC: [u8; 8] = *b"DF3SNAP\0";
 /// Container format version. Bump on any layout change; decoders reject
 /// versions they do not understand instead of misparsing. Version 2
 /// added the event queue's lead-lane counter and the platform's
-/// `arrivals` section (streamed job arrivals).
-pub const VERSION: u32 = 2;
+/// `arrivals` section (streamed job arrivals); version 3 appended the
+/// whole-run peak-decision counters to the platform's stats.
+pub const VERSION: u32 = 3;
 
 /// Upper bound on declared collection lengths, as a corruption guard:
 /// a flipped length byte must produce [`SnapshotError::Corrupt`], not an
